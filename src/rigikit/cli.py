@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Optional
+from contextlib import nullcontext
+from typing import Iterator, Optional
 
 from . import __version__
 from .constructions import (
@@ -25,7 +26,15 @@ from .constructions import (
 )
 from .enumeration import SearchSpec, enumerate_constrained, enumerate_regular
 from .graph import Graph, complement, complete_bipartite, complete_graph, contract_edge
-from .rigidity import DEFAULT_TRIALS, generic_rank, is_circuit, is_flexible_circuit, is_independent, is_rigid
+from .rigidity import (
+    DEFAULT_TRIALS,
+    MatroidVerdict,
+    generic_rank,
+    is_circuit,
+    is_flexible_circuit,
+    is_independent,
+    is_rigid,
+)
 from .verify import (
     CLAIMS,
     classify_flexible_circuits,
@@ -40,28 +49,55 @@ from .verify import (
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
 
 
-def _read_graphs(path: Optional[str]) -> Iterable[Graph]:
-    handle = sys.stdin if path in (None, "-") else open(path)
-    for line in handle:
-        line = line.strip()
-        if line:
-            yield Graph.from_graph6(line)
+class _ArgumentParser(argparse.ArgumentParser):
+    """Exits with EXIT_USAGE, not argparse's 2, on a rejected command line."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _read_graphs(path: Optional[str]) -> Iterator[Graph]:
+    source = nullcontext(sys.stdin) if path in (None, "-") else open(path)
+    with source as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                yield Graph.from_graph6(line)
 
 
 def _parse_partition(text: str) -> tuple[int, int]:
-    i, m = text.split("/")
-    return int(i), int(m)
+    try:
+        i, m = text.split("/")
+        return int(i), int(m)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected i/m, got {text!r}") from None
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(obj)
+def _emit(obj) -> None:
+    print(json.dumps(obj, sort_keys=True))
+
+
+_WORD = {True: "yes", False: "no", None: "unresolved"}
+
+
+def _verdict_line(g: Graph, v: MatroidVerdict) -> str:
+    """A verdict as one readable line, for `--format text`."""
+    flags = " ".join(f"{k}={_WORD[x]}" for k, x in v.flags().items())
+    return (f"{g.to_graph6()} d={v.d} rank>={v.rank_lb} count<={v.count_ub} "
+            f"{flags} certificate={v.certificate.kind}")
+
+
+def _oracle_options(args) -> dict:
+    kw = {"trials": args.trials,
+          "seed": default_seed() if args.seed is None else args.seed}
+    if args.threshold is not None:
+        kw["threshold"] = args.threshold
+    return kw
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = argparse.ArgumentParser(prog="rigikit", description=__doc__)
+    ap = _ArgumentParser(prog="rigikit", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -71,7 +107,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument("--threshold", type=float, default=None,
                        help="Monte Carlo failure bound above which claims are unresolved")
-        p.add_argument("--format", choices=("json", "g6", "text"), default="json")
+        p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--input", "-i", default=None, help="graph6 file (default stdin)")
 
     p_rank = sub.add_parser("rank", help="generic rank verdicts for graph6 input")
@@ -135,22 +171,26 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _dispatch(args) -> int:
     if args.cmd == "rank":
-        seed = default_seed() if args.seed is None else args.seed
+        kw = _oracle_options(args)
         for g in _read_graphs(args.input):
-            v = generic_rank(g, args.dim, trials=args.trials, seed=seed)
-            _emit(v.to_json(g), "json" if args.format != "text" else "text")
+            v = generic_rank(g, args.dim, **kw)
+            if args.format == "text":
+                print(_verdict_line(g, v))
+            else:
+                _emit(v.to_json(g))
         return EXIT_PASS
 
     if args.cmd == "check":
         fn = {"independent": is_independent, "rigid": is_rigid,
               "circuit": is_circuit, "flexible-circuit": is_flexible_circuit}[args.predicate]
-        seed = default_seed() if args.seed is None else args.seed
-        kw = {} if args.threshold is None else {"threshold": args.threshold}
+        kw = _oracle_options(args)
         worst = EXIT_PASS
         for g in _read_graphs(args.input):
-            verdict, v = fn(g, args.dim, trials=args.trials, seed=seed, **kw)
-            _emit({"predicate": args.predicate, "value": verdict, **v.to_json(g)},
-                  "json")
+            verdict, v = fn(g, args.dim, **kw)
+            if args.format == "text":
+                print(f"{args.predicate}={_WORD[verdict]} {_verdict_line(g, v)}")
+            else:
+                _emit({"predicate": args.predicate, "value": verdict, **v.to_json(g)})
             if verdict is None:
                 worst = max(worst, EXIT_UNRESOLVED)
         return worst

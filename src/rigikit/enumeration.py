@@ -2,12 +2,23 @@
 and connectivity constraints, by orderly edge extension.
 
 Each accepted graph is reached along a unique canonical path from the empty
-graph: a child survives only when its new edge is automorphism-equivalent to
-the child's canonical deletable edge, and candidate edges are tried once per
-parent-automorphism orbit. Streams therefore carry one canonically labeled
-representative per isomorphism class; a hash set over emitted codes backs the
-pruning up. Dense regimes (min degree above half the graph) generate
-complements instead, where the degree cap prunes far earlier.
+graph (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+The path removes one canonical edge at a time. Every vertex carries the
+invariant (degree, sum of neighbour degrees); an edge's key is the sorted
+pair of its endpoints' invariants followed by their number of common
+neighbours. The canonical edge is, among the edges of largest key, the one
+whose endpoints' canonical positions come last in graph6 order. A child is
+kept only when its new edge lies in the automorphism orbit of its canonical
+edge; candidate edges are tried once per parent-automorphism orbit.
+
+The key is relabeling-invariant and cheap, so a child whose new edge does
+not reach the largest key is rejected before it is canonized. A child that
+does is canonized once, and its canonical code serves the acceptance test,
+the child's own automorphism pruning and the output graph. Streams therefore
+carry one canonically labeled representative per isomorphism class. Dense
+regimes (min degree above half the graph) generate complements instead,
+where the degree cap prunes far earlier; each emitted complement is
+canonized once more on the direct side.
 
 Streams are resumable: DFS subtrees rooted at a fixed depth are dealt
 round-robin to `partition` shards, so shard outputs are disjoint and their
@@ -18,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Optional
 
-from .canon import canon_raw, code_bytes
-from .graph import Graph, complement, graph6_decode, is_k_connected
+from .canon import canon_raw
+from .graph import Graph, complement, is_k_connected
 from .rigidity import is_d_sparse
 
 _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
@@ -80,35 +92,24 @@ def enumerate_constrained(
     total = math.comb(n, 2)
     comp_cap = n - 1 - spec.degree_min
     use_complement = comp_cap < spec.degree_max
-
-    seen: set[bytes] = set()
     if use_complement:
-        lo = total - spec.edge_max
-        hi = total - spec.edge_min
-        dmin_c = n - 1 - spec.degree_max
-        for adj in _grow(n, comp_cap, dmin_c, lo, hi, partition):
-            # degree floor on the complement caps the direct-side max degree
-            if any(a.bit_count() < dmin_c for a in adj):
-                continue
-            g = complement(_from_adj(n, adj))
-            if _passes_final(g, spec):
-                code, perm, _ = canon_raw(g.adj, n)
-                cb = code_bytes(n, code)
-                if cb not in seen:
-                    seen.add(cb)
-                    yield graph6_decode(cb.decode("ascii"))
+        # the complement's degree floor caps the direct-side max degree
+        cap, floor = comp_cap, n - 1 - spec.degree_max
+        lo, hi = total - spec.edge_max, total - spec.edge_min
     else:
-        for adj in _grow(n, spec.degree_max, spec.degree_min, spec.edge_min,
-                         spec.edge_max, partition):
-            if any(a.bit_count() < spec.degree_min for a in adj):
-                continue
-            g = _from_adj(n, adj)
+        cap, floor = spec.degree_max, spec.degree_min
+        lo, hi = spec.edge_min, spec.edge_max
+
+    for adj, code in _grow(n, cap, floor, lo, hi, partition):
+        if any(a.bit_count() < floor for a in adj):
+            continue
+        g = _from_code(n, code)
+        if use_complement:
+            g = complement(g)
             if _passes_final(g, spec):
-                code, _, _ = canon_raw(adj, n)
-                cb = code_bytes(n, code)
-                if cb not in seen:
-                    seen.add(cb)
-                    yield graph6_decode(cb.decode("ascii"))
+                yield _from_code(n, canon_raw(g.adj, n)[0])
+        elif _passes_final(g, spec):
+            yield g
 
 
 def enumerate_regular(
@@ -122,20 +123,25 @@ def enumerate_regular(
     return enumerate_constrained(spec, partition)
 
 
-def _from_adj(n: int, adj: list[int]) -> Graph:
+@lru_cache(maxsize=64)
+def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Vertex pairs (i, j), i < j, in graph6 bit order."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def _from_code(n: int, code: int) -> Graph:
+    """The graph whose graph6 bits, most significant first, are `code`."""
+    pairs = _graph6_pairs(n)
+    top = len(pairs) - 1
     edges = []
-    for u in range(n):
-        rest = adj[u] >> (u + 1) << (u + 1)
-        while rest:
-            low = rest & -rest
-            edges.append((u, low.bit_length() - 1))
-            rest ^= low
+    while code:
+        low = code & -code
+        edges.append(pairs[top - low.bit_length() + 1])
+        code ^= low
     return Graph(n, tuple(edges))
 
 
 def _passes_final(g: Graph, spec: SearchSpec) -> bool:
-    if not (spec.edge_min <= g.m <= spec.edge_max):
-        return False
     if spec.d_sparse_filter is not None and not is_d_sparse(g, spec.d_sparse_filter):
         return False
     if spec.connectivity_min is not None:
@@ -145,6 +151,95 @@ def _passes_final(g: Graph, spec: SearchSpec) -> bool:
     return True
 
 
+def _vertex_keys(adj: list[int], n: int) -> list[int]:
+    """Each vertex's (degree, sum of neighbour degrees), packed into one int
+    that orders like the pair (the sum is below n*n)."""
+    degs = [a.bit_count() for a in adj]
+    keys = []
+    for w in range(n):
+        s = 0
+        rest = adj[w]
+        while rest:
+            low = rest & -rest
+            s += degs[low.bit_length() - 1]
+            rest ^= low
+        keys.append(degs[w] * n * n + s)
+    return keys
+
+
+def _edge_key(adj: list[int], keys: list[int], a: int, b: int) -> tuple[int, int, int]:
+    """The sorted endpoint keys of edge ab, then its common-neighbour count."""
+    ka, kb = keys[a], keys[b]
+    common = (adj[a] & adj[b]).bit_count()
+    return (ka, kb, common) if ka <= kb else (kb, ka, common)
+
+
+def _child_keys(keys: list[int], adj: list[int], degs: list[int],
+                u: int, v: int, n: int) -> list[int]:
+    """`_vertex_keys` after adding edge uv, from the parent's keys, adjacency
+    and degrees: only u, v and their neighbours change."""
+    out = keys[:]
+    out[u] += n * n + degs[v] + 1
+    out[v] += n * n + degs[u] + 1
+    for rest in (adj[u], adj[v]):
+        while rest:
+            low = rest & -rest
+            out[low.bit_length() - 1] += 1
+            rest ^= low
+    return out
+
+
+def _max_key_ties(adj: list[int], keys: list[int], u: int, v: int
+                  ) -> Optional[list[tuple[int, int]]]:
+    """None if some edge has a larger `_edge_key` than edge uv; otherwise
+    every edge whose key equals uv's, uv included, as (min, max) pairs."""
+    ku, kv = keys[u], keys[v]
+    lo, hi = (ku, kv) if ku <= kv else (kv, ku)
+    above_lo = above_hi = at_lo = at_hi = 0
+    for w, k in enumerate(keys):
+        if k > lo:
+            above_lo |= 1 << w
+            if k > hi:
+                above_hi |= 1 << w
+            elif k == hi:
+                at_hi |= 1 << w
+        elif k == lo:
+            at_lo |= 1 << w
+    if lo == hi:
+        at_hi = at_lo
+    # an edge with both ends above lo, or one end at lo and the other above
+    # hi, has the larger key
+    rest = above_lo
+    while rest:
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & above_lo:
+            return None
+        rest ^= low
+    common = (adj[u] & adj[v]).bit_count()
+    ties = []
+    rest = at_lo
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        w = low.bit_length() - 1
+        aw = adj[w]
+        if aw & above_hi:
+            return None
+        others = aw & at_hi
+        while others:
+            bit = others & -others
+            others ^= bit
+            x = bit.bit_length() - 1
+            if lo == hi and x < w:
+                continue
+            c = (aw & adj[x]).bit_count()
+            if c > common:
+                return None
+            if c == common:
+                ties.append((w, x) if w < x else (x, w))
+    return ties
+
+
 def _grow(
     n: int,
     cap: int,
@@ -152,42 +247,19 @@ def _grow(
     edge_lo: int,
     edge_hi: int,
     partition: tuple[int, int],
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[list[int], int]]:
     """Canonical-construction-path DFS over edge additions.
 
-    Yields raw adjacency bitmask lists for every tree node whose edge count
-    lies in [edge_lo, edge_hi]; the caller applies final filters.
+    Yields (adjacency bitmasks, canonical code) for every tree node whose
+    edge count lies in [edge_lo, edge_hi]; the caller applies final filters.
     """
     shard_i, shard_m = partition
     if cap <= 0 or edge_hi <= 0:
         if edge_lo <= 0 and shard_i == 0:
-            yield [0] * n
+            yield [0] * n, 0
         return
     shard_depth = min(_SHARD_DEPTH, edge_hi)
-
-    pair_index: dict[tuple[int, int], int] = {}
-    all_pairs: list[tuple[int, int]] = []
-    for j in range(1, n):
-        for i in range(j):
-            pair_index[(i, j)] = len(all_pairs)
-            all_pairs.append((i, j))
-    nbits = len(all_pairs)
-    # j such that j(j-1)/2 <= k, for decoding bit positions back to pairs
-    tri = [j * (j - 1) // 2 for j in range(n + 1)]
-
-    def mu_edge(code: int, perm: tuple[int, ...]) -> tuple[int, int]:
-        # last set position in graph6 bit order = lowest set bit of the code
-        b = (code & -code).bit_length() - 1
-        k = nbits - 1 - b
-        j = 1
-        while tri[j + 1] <= k:
-            j += 1
-        i = k - tri[j]
-        inv = [0] * n
-        for v, pos in enumerate(perm):
-            inv[pos] = v
-        a, b2 = inv[i], inv[j]
-        return (a, b2) if a < b2 else (b2, a)
+    all_pairs = _graph6_pairs(n)
 
     def pair_orbit(e: tuple[int, int], gens: list[tuple[int, ...]]) -> set[tuple[int, int]]:
         orbit = {e}
@@ -226,6 +298,19 @@ def _grow(
                         parent[ri] = rj
         return [e for i, e in enumerate(cand) if find(i) == i]
 
+    def is_canonical(e: tuple[int, int], ties: list[tuple[int, int]],
+                     perm: tuple[int, ...], gens: list[tuple[int, ...]]) -> bool:
+        """Whether e lies in the orbit of the tied edge whose canonical
+        positions come last in graph6 order."""
+        def g6_index(f: tuple[int, int]) -> int:
+            i, j = perm[f[0]], perm[f[1]]
+            if i > j:
+                i, j = j, i
+            return j * (j - 1) // 2 + i
+
+        best = max(ties, key=g6_index)
+        return best == e or e in pair_orbit(best, gens)
+
     shard_counter = 0
 
     # generators of the full symmetric group serve the (edgeless) root
@@ -236,11 +321,11 @@ def _grow(
     else:
         root_gens = []
 
-    def dfs(adj: list[int], degs: list[int], m: int, deficit: int,
-            gens: list[tuple[int, ...]]) -> Iterator[list[int]]:
+    def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
+            code: int, gens: list[tuple[int, ...]]) -> Iterator[tuple[list[int], int]]:
         nonlocal shard_counter
         if m >= edge_lo and (m >= shard_depth or shard_i == 0):
-            yield adj
+            yield adj, code
         if m == edge_hi:
             return
         free = sum(cap - dv for dv in degs)
@@ -262,8 +347,12 @@ def _grow(
             adj2 = adj[:]
             adj2[u] |= 1 << v
             adj2[v] |= 1 << u
-            code, perm, cgens = canon_raw(adj2, n)
-            if (u, v) not in pair_orbit(mu_edge(code, perm), cgens):
+            keys2 = _child_keys(keys, adj, degs, u, v, n)
+            ties = _max_key_ties(adj2, keys2, u, v)
+            if ties is None:
+                continue
+            code2, perm, cgens = canon_raw(adj2, n)
+            if len(ties) > 1 and not is_canonical((u, v), ties, perm, cgens):
                 continue
             if m + 1 == shard_depth:
                 shard_counter += 1
@@ -273,6 +362,6 @@ def _grow(
             degs2[u] += 1
             degs2[v] += 1
             d2 = deficit - (degs[u] < dmin) - (degs[v] < dmin)
-            yield from dfs(adj2, degs2, m + 1, d2, cgens)
+            yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens)
 
-    yield from dfs([0] * n, [0] * n, 0, n * max(dmin, 0), root_gens)
+    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0, root_gens)

@@ -23,12 +23,17 @@ class Graph:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = set()
-        for u, v in self.edges:
+        for e in self.edges:
+            u, v = e
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            norm.add((u, v) if u < v else (v, u))
+            # an ordered pair tuple is kept as given, so graphs built from
+            # shared pair tuples (as the enumerator's are) share them
+            if u > v or type(e) is not tuple:
+                e = (min(u, v), max(u, v))
+            norm.add(e)
         object.__setattr__(self, "edges", tuple(sorted(norm)))
 
     @property

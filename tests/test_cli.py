@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from rigikit import Graph, complete_graph, canonical_code
 from rigikit.cli import main
 from rigikit.constructions import build_glued_cliques
@@ -58,6 +60,69 @@ class TestCheck:
         assert payload["rank_lb"] == 9
         assert payload["count_ub"] == 9
         assert payload["graph6"] == g6
+
+    def test_rank_honours_threshold(self, capsys, monkeypatch):
+        # one trial on a dependent graph leaves a Monte Carlo bound of ~6e-18:
+        # above the default threshold, below a threshold of 1
+        g6 = build_glued_cliques(4, 2).graph.to_graph6()
+        argv = ["rank", "-d", "4", "--trials", "1", "--seed", "3"]
+        _, out = run(capsys, argv, stdin=g6 + "\n", monkeypatch=monkeypatch)
+        assert json.loads(out)["flags"]["independent"] is None
+        _, out = run(capsys, argv + ["--threshold", "1.0"], stdin=g6 + "\n",
+                     monkeypatch=monkeypatch)
+        assert json.loads(out)["flags"]["independent"] is False
+
+    def test_rank_text_is_one_readable_line(self, capsys, monkeypatch):
+        g6 = complete_graph(5).to_graph6()
+        code, out = run(capsys, ["rank", "-d", "3", "--format", "text"],
+                        stdin=g6 + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == (f"{g6} d=3 rank>=9 count<=9 independent=no rigid=yes "
+                       "circuit=unresolved flexible_circuit=unresolved "
+                       "certificate=deterministic-dependent-count\n")
+
+    def test_check_text_line(self, capsys, monkeypatch):
+        g6 = complete_graph(5).to_graph6()
+        code, out = run(capsys, ["check", "circuit", "-d", "3", "--format", "text"],
+                        stdin=g6 + "\n", monkeypatch=monkeypatch)
+        assert code == 0
+        assert out.startswith(f"circuit=yes {g6} d=3 rank>=9 ")
+        assert out.count("\n") == 1
+
+    @pytest.mark.parametrize("cmd", [["rank"], ["check", "rigid"]])
+    def test_g6_format_rejected(self, capsys, cmd):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--format", "g6"])
+        assert exc.value.code == 3
+
+    def test_input_file_is_closed(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "in.g6"
+        path.write_text(complete_graph(5).to_graph6() + "\n")
+        opened = []
+
+        def spy(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr("rigikit.cli.open", spy, raising=False)
+        code, out = run(capsys, ["rank", "-d", "3", "-i", str(path)])
+        assert code == 0 and json.loads(out)["rank_lb"] == 9
+        assert len(opened) == 1 and opened[0].closed
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "5", "--partition", "x"],
+        ["enumerate"],
+        ["no-such-command"],
+        ["check", "planar"],
+    ])
+    def test_rejected_command_line_exits_3(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestOps:

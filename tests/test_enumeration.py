@@ -2,7 +2,9 @@ import itertools
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import graphs
 from rigikit import (
     Graph,
     SearchSpec,
@@ -15,6 +17,14 @@ from rigikit import (
 )
 from rigikit.canon import canon_raw
 from rigikit.constructions import build_glued_cliques
+from rigikit.enumeration import _child_keys, _edge_key, _max_key_ties, _vertex_keys
+
+# OEIS A000088: graphs on n = 0..8 vertices
+ALL_GRAPHS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
+# OEIS A005638: cubic graphs on n vertices, connected or not
+CUBIC = {4: 1, 6: 2, 8: 6, 10: 21}
+# OEIS A033483: quartic graphs on n vertices
+QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16}
 
 
 def brute_classes(n, degree_min, degree_max, edge_min=0, edge_max=None, keep=None):
@@ -210,3 +220,86 @@ class TestPartition:
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_regular(6, 3, partition=(3, 3)))
+
+
+def stream_codes(stream):
+    """The canonical codes of a stream, checking that each graph is emitted
+    in its canonical form and that no class repeats."""
+    codes = []
+    for g in stream:
+        code = canonical_code(g)
+        assert g.to_graph6() == code.decode("ascii")
+        codes.append(code)
+    assert len(set(codes)) == len(codes)
+    return codes
+
+
+class TestOEISCounts:
+    @pytest.mark.parametrize("n", [
+        *range(8), pytest.param(8, marks=pytest.mark.slow),
+    ])
+    def test_all_graphs(self, n):
+        codes = stream_codes(enumerate_constrained(SearchSpec(n=n)))
+        assert len(codes) == ALL_GRAPHS[n]
+
+    @pytest.mark.parametrize("n", sorted(CUBIC))
+    def test_cubic(self, n):
+        assert len(stream_codes(enumerate_regular(n, 3))) == CUBIC[n]
+
+    @pytest.mark.parametrize("n", sorted(QUARTIC))
+    def test_quartic(self, n):
+        assert len(stream_codes(enumerate_regular(n, 4))) == QUARTIC[n]
+
+
+class TestCanonicalOutput:
+    @pytest.mark.parametrize("spec", [
+        SearchSpec(n=9, degree_min=2, degree_max=3),  # direct branch
+        SearchSpec(n=8, degree_min=4, d_sparse_filter=3),  # complement branch
+        SearchSpec(n=7, degree_min=3, degree_max=6),  # complement branch
+    ])
+    def test_emitted_graphs_are_canonical_and_distinct(self, spec):
+        assert stream_codes(enumerate_constrained(spec))
+
+    def test_canon_call_budget(self, monkeypatch):
+        # children are rejected by the edge key before canonizing, and an
+        # accepted node's code is reused for the output
+        calls = 0
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return canon_raw(*args, **kwargs)
+
+        monkeypatch.setattr("rigikit.enumeration.canon_raw", counting)
+        out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
+        assert len(out) == 525
+        assert calls <= 5400
+
+
+class TestEdgeKey:
+    @given(graphs(min_n=2), st.randoms(use_true_random=False))
+    def test_relabeling_equivariant(self, g, r):
+        perm = list(range(g.n))
+        r.shuffle(perm)
+        h = g.relabel(perm)
+        kg, kh = _vertex_keys(list(g.adj), g.n), _vertex_keys(list(h.adj), h.n)
+        assert [kh[perm[v]] for v in range(g.n)] == kg
+        for a, b in g.edges:
+            assert _edge_key(g.adj, kg, a, b) == _edge_key(h.adj, kh, perm[a], perm[b])
+
+    @given(graphs(min_n=2))
+    def test_child_keys_and_ties_match_brute_force(self, g):
+        keys = _vertex_keys(list(g.adj), g.n)
+        for u, v in itertools.combinations(range(g.n), 2):
+            if g.has_edge(u, v):
+                continue
+            child = g.with_edge(u, v)
+            ckeys = _child_keys(keys, list(g.adj), list(g.degrees), u, v, g.n)
+            assert ckeys == _vertex_keys(list(child.adj), g.n)
+            edge_keys = {e: _edge_key(child.adj, ckeys, *e) for e in child.edges}
+            top = max(edge_keys.values())
+            ties = _max_key_ties(list(child.adj), ckeys, u, v)
+            if edge_keys[(u, v)] < top:
+                assert ties is None
+            else:
+                assert sorted(ties) == sorted(e for e, k in edge_keys.items() if k == top)

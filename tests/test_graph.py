@@ -52,6 +52,11 @@ class TestBasics:
 
     def test_edges_normalized(self):
         assert Graph(3, ((2, 0), (1, 0), (0, 1))).edges == ((0, 1), (0, 2))
+        assert Graph(3, ([1, 2], [0, 1])).edges == ((0, 1), (1, 2))
+
+    def test_ordered_edge_tuples_are_shared(self):
+        e = (0, 1)
+        assert Graph(2, (e,)).edges[0] is e
 
 
 class TestComplement:
