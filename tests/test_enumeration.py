@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb
 
@@ -274,6 +275,15 @@ class TestCanonicalOutput:
         out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
         assert len(out) == 525
         assert calls <= 5400
+
+
+    def test_output_is_pinned(self):
+        # sha1 of the sorted graph6 stream: the canonical form must not drift
+        out = sorted(g.to_graph6() for g in
+                     enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
+        assert len(out) == 525
+        assert (hashlib.sha1("\n".join(out).encode("ascii")).hexdigest()
+                == "2a7994d81012cc40d2f5aeeb73bef4f487339794")
 
 
 class TestEdgeKey:
