@@ -294,7 +294,11 @@ def _grow(
                 j = idx.get(w)
                 if j is not None:
                     ri, rj = find(i), find(j)
-                    if ri != rj:
+                    # the root is the least index of its orbit, so the
+                    # representatives depend on the group, not on gens
+                    if ri < rj:
+                        parent[rj] = ri
+                    elif rj < ri:
                         parent[ri] = rj
         return [e for i, e in enumerate(cand) if find(i) == i]
 

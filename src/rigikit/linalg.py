@@ -54,15 +54,16 @@ def _eliminate(rows: list[list[int]], p: int, active_cols: int | None = None) ->
         if piv < 0:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        inv = pow(prow[c], -1, p)
-        if inv != 1:
-            rows[rank] = prow = [x * inv % p for x in prow]
+        # the pivot row stays unscaled: each row below takes the multiple
+        # -f/pivot of it, which leaves the rows below exactly as scaling first
+        tail = rows[rank][c:]
+        neg_inv = p - pow(tail[0], -1, p)
         for i in range(rank + 1, m):
-            f = rows[i][c]
+            ri = rows[i]
+            f = ri[c]
             if f:
-                ri = rows[i]
-                rows[i] = ri[:c] + [(a - f * b) % p for a, b in zip(ri[c:], prow[c:])]
+                f = f * neg_inv % p
+                rows[i] = ri[:c] + [(a + f * b) % p for a, b in zip(ri[c:], tail)]
         rank += 1
         if rank == m:
             break

@@ -18,6 +18,16 @@ generic rank, so:
 
 Any dependence-style claim whose failure bound exceeds the configured
 threshold is reported as unresolved (None) rather than guessed.
+
+Work per verdict
+----------------
+A verdict computes each structural fact of (graph, d) at most once: the
+count bound, the sparsity report (a subset sweep, n <= 20) and the small
+vertex cut (max-flow vertex connectivity, `graph.is_k_connected`). Each
+random point is eliminated once. `is_circuit` asks for the left null space
+of a point, in the same elimination, only where it can use it: when |E|
+exceeds the count bound, after a point that fell short of |E|, or at a sole
+point. Independent graphs therefore cost one plain elimination.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .graph import Graph, is_k_connected
@@ -234,6 +245,62 @@ def dependent_by_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
     return cut
 
 
+class _Facts:
+    """The structural facts one verdict consults about (graph, d): the count
+    bound, the sparsity report and a vertex cut of size <= d-1. Each is
+    computed at most once, when first asked for, and lives only as long as
+    the verdict that holds it."""
+
+    def __init__(self, g: Graph, d: int) -> None:
+        self.g = g
+        self.d = d
+        self.ub = count_upper_bound(g, d)
+
+    @cached_property
+    def sparsity(self) -> SparsityReport:
+        if self.g.n < self.d + 2:
+            return SparsityReport(self.d, True, False)
+        return is_d_sparse(self.g, self.d)
+
+    @cached_property
+    def cut(self) -> Optional[frozenset[int]]:
+        if self.g.n < self.d + 2:
+            return None
+        return small_cut(self.g, self.d)
+
+
+# a trial point: the rank there, and a left null space basis when computed
+_Point = tuple[int, Optional[list[list[int]]]]
+
+
+def _evaluate(
+    g: Graph, d: int, trials: int, seed: int, p: int, ub: int, want_null: bool
+) -> tuple[list[_Point], random.Random]:
+    """Rank R(G,p) at up to `trials` random points, stopping once the count
+    bound `ub` is met. Returns the points and the generator that drew them,
+    positioned after the last draw.
+
+    With `want_null`, a point is eliminated together with its left null
+    space when |E| > ub (R(G,p) then has dependent rows), when it is not the
+    first point (an earlier one fell short of ub <= |E|), or when `trials`
+    is 1.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    m = g.m
+    rng = random.Random(seed)
+    points: list[_Point] = []
+    for _ in range(trials):
+        rows = _matrix_rows(g, d, rng.getrandbits(63), p)
+        if want_null and (m > ub or points or trials == 1):
+            points.append(rank_and_left_null_mod_p(rows, p))
+        else:
+            points.append((rank_mod_p(rows, p), None))
+        if points[-1][0] >= ub:
+            break
+    return points, rng
+
+
 def generic_rank(
     g: Graph,
     d: int,
@@ -248,43 +315,30 @@ def generic_rank(
     circuit flags stay undetermined unless independence already settles them
     (use is_circuit / is_flexible_circuit for those).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ub = count_upper_bound(g, d)
-    rng = random.Random(seed)
-    rank_lb = 0
-    used = 0
-    for _ in range(trials):
-        s = rng.getrandbits(63)
-        used += 1
-        rank_lb = max(rank_lb, rank_mod_p(_matrix_rows(g, d, s, p), p))
-        if rank_lb >= ub:
-            break
-    return _assess(g, d, rank_lb, ub, used, p, threshold)
+    facts = _Facts(g, d)
+    points, _ = _evaluate(g, d, trials, seed, p, facts.ub, want_null=False)
+    return _assess(facts, points, p, threshold)
 
 
 def _assess(
-    g: Graph,
-    d: int,
-    rank_lb: int,
-    ub: int,
-    used: int,
-    p: int,
-    threshold: float,
+    facts: _Facts, points: list[_Point], p: int, threshold: float
 ) -> MatroidVerdict:
+    g, d, ub = facts.g, facts.d, facts.ub
     m = g.m
+    rank_lb = max(rank for rank, _ in points)
+    used = len(points)
     bound = sz_bound(ub, p, used)
 
     if rank_lb == m:
         cert = Certificate(CERT_INDEPENDENT)
         independent: Optional[bool] = True
     else:
-        sp = is_d_sparse(g, d) if g.n >= d + 2 else SparsityReport(d, True, False)
+        sp = facts.sparsity
         if not sp.sparse:
             cert = Certificate(CERT_DEPENDENT_COUNT, witness=sp.violator)
             independent = False
         else:
-            cut = small_cut(g, d) if g.n >= d + 2 and sp.tight else None
+            cut = facts.cut if sp.tight else None
             if cut is not None:
                 cert = Certificate(CERT_DEPENDENT_CUT, witness=cut)
                 independent = False
@@ -304,7 +358,7 @@ def _assess(
         rigid = True
     elif ub < target:
         rigid = False  # too few edges to ever reach the bound
-    elif small_cut(g, d) is not None:
+    elif facts.cut is not None:
         rigid = False
     else:
         rigid = False if bound <= threshold else None
@@ -354,10 +408,13 @@ def is_circuit(
     The deletion side is settled deterministically whenever possible: at a
     point where R(G) has rank |E|-1 and the one-dimensional left null space
     has no zero entry, every single-row deletion is witnessed full-row-rank
-    at that same point. Remaining cases fall back to per-edge evaluations.
+    at that same point. The null spaces come from the rank evaluation's own
+    points. Remaining cases fall back to per-edge evaluations.
     """
     m = g.m
-    verdict = generic_rank(g, d, trials=trials, seed=seed, p=p, threshold=threshold)
+    facts = _Facts(g, d)
+    points, rng = _evaluate(g, d, trials, seed, p, facts.ub, want_null=True)
+    verdict = _assess(facts, points, p, threshold)
     if verdict.independent:
         return False, verdict
     if verdict.independent is None:
@@ -366,25 +423,17 @@ def is_circuit(
     if verdict.rank_lb < m - 1:
         # some deletion would still be dependent, so G is not minimal;
         # deterministic when a sparsity violation survives any one deletion
-        sp = is_d_sparse(g, d) if g.n >= d + 2 else None
-        if sp is not None and sp.excess >= 2:
+        if facts.sparsity.excess >= 2:
             return False, replace(verdict, circuit=False, flexible_circuit=False)
         szb = sz_bound(verdict.count_ub, p, verdict.trials)
         circuit = False if szb <= threshold else None
         flex = False if circuit is False else None
         return circuit, replace(verdict, circuit=circuit, flexible_circuit=flex)
 
-    # rank_lb == m-1: stress support fast path, reusing the trial points
-    rng = random.Random(seed)
-    for _ in range(verdict.trials):
-        rows = _matrix_rows(g, d, rng.getrandbits(63), p)
-        rank, null = rank_and_left_null_mod_p(rows, p)
-        if rank == m:
-            # a better point: G is independent after all
-            out = _assess(g, d, m, verdict.count_ub, verdict.trials, p, threshold)
-            return False, out
-        if rank == m - 1 and len(null) == 1 and all(null[0]):
-            return True, _finish_circuit_true(g, d, verdict, threshold)
+    # rank_lb == m-1: stress support fast path at the evaluated points
+    for rank, null in points:
+        if rank == m - 1 and null is not None and len(null) == 1 and all(null[0]):
+            return True, _finish_circuit_true(facts, verdict, threshold)
     # fall back to explicit per-edge checks with fresh points
     mc_bound = verdict.certificate.failure_bound
     for e in g.edges:
@@ -400,7 +449,7 @@ def is_circuit(
                       certificate=_with_bound(verdict.certificate, mc_bound),
                       flexible_circuit=False if circuit is False else None)
         return circuit, out
-    return True, _finish_circuit_true(g, d, verdict, threshold)
+    return True, _finish_circuit_true(facts, verdict, threshold)
 
 
 def _with_bound(cert: Certificate, bound: float) -> Certificate:
@@ -410,14 +459,14 @@ def _with_bound(cert: Certificate, bound: float) -> Certificate:
 
 
 def _finish_circuit_true(
-    g: Graph, d: int, verdict: MatroidVerdict, threshold: float
+    facts: _Facts, verdict: MatroidVerdict, threshold: float
 ) -> MatroidVerdict:
     """Once G is a circuit its generic rank is |E|-1, so flexibility reduces
     to a count comparison; a small cut settles it outright."""
-    target = rigidity_target(g, d)
-    if g.m - 1 >= target:
+    target = rigidity_target(facts.g, facts.d)
+    if facts.g.m - 1 >= target:
         flex: Optional[bool] = False
-    elif g.n >= d + 2 and small_cut(g, d) is not None:
+    elif facts.cut is not None:
         flex = True
     elif verdict.certificate.kind != CERT_MONTE_CARLO:
         flex = True

@@ -257,7 +257,8 @@ def verify_edge_bound(
     classification: Optional[list[str]] = None,
 ) -> VerificationReport:
     """|E(B_{d,d-1})| = d(d+9)/2 for each d, and no flexible circuit from the
-    d=3 classification has fewer than 18 edges (equality only for B_{3,2})."""
+    d=3 classification has fewer than 18 edges (equality only for B_{3,2},
+    which the oracle confirms is a flexible circuit)."""
     if d_max < 3:
         raise ValueError("d_max must be >= 3")
     seed = default_seed() if seed is None else seed
@@ -270,9 +271,19 @@ def verify_edge_bound(
             "name": f"edge-count-d{d}", "ok": g.m == want,
             "edges": g.m, "expected": want,
         })
+    # the minimum is attained: B_{3,2} is a flexible circuit with 18 edges.
+    # Checked with the oracle, so a wrong oracle fails this report even when
+    # the classification it produced is empty or a shard's
+    b32_graph = build_glued_cliques(3, 2).graph
+    flex, v = is_flexible_circuit(b32_graph, 3, seed=seed)
+    checks.append({
+        "name": "minimum-attained-d3",
+        "ok": flex is True and b32_graph.m == 18,
+        **_verdict_detail(b32_graph, v),
+    })
     if classification is None:
         _, classification = classify_flexible_circuits(3, 9, seed=seed)
-    b32 = canonical_code(build_glued_cliques(3, 2).graph).decode("ascii")
+    b32 = canonical_code(b32_graph).decode("ascii")
     edge_counts = {g6: Graph.from_graph6(g6).m for g6 in classification}
     checks.append({
         "name": "minimum-18-edges-d3",

@@ -222,6 +222,32 @@ class TestPartition:
         with pytest.raises(ValueError):
             list(enumerate_regular(6, 3, partition=(3, 3)))
 
+    def test_shard_contents_are_pinned(self):
+        # sha1 of each shard's graph6 lines, in stream order
+        got = [_sha1(enumerate_regular(6, 3, partition=(i, 3))) for i in range(3)]
+        assert got == ["da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
+                       "88e0af14243f65d05799e02530e9e9e8c2a5f110",  # ELv_
+                       "27cc92c74bc455ce86279b8a8c3355b1112cc5fa"]  # EFz_
+
+    def test_order_depends_on_the_group_not_the_generators(self, monkeypatch):
+        # canon_raw may return any generating set of Aut(G): a reversed list
+        # padded with products must leave stream order and shards unchanged
+        def other_gens(adj, n):
+            code, perm, gens = canon_raw(adj, n)
+            prods = [tuple(a[b[v]] for v in range(n)) for a in gens for b in gens[:2]]
+            return code, perm, gens[::-1] + prods
+
+        spec = SearchSpec(n=10, degree_min=2, degree_max=3)
+        want = _sha1(enumerate_constrained(spec))
+        shards = [_sha1(enumerate_regular(6, 3, partition=(i, 3))) for i in range(3)]
+        monkeypatch.setattr("rigikit.enumeration.canon_raw", other_gens)
+        assert _sha1(enumerate_constrained(spec)) == want
+        assert [_sha1(enumerate_regular(6, 3, partition=(i, 3))) for i in range(3)] == shards
+
+
+def _sha1(stream) -> str:
+    return hashlib.sha1("\n".join(g.to_graph6() for g in stream).encode("ascii")).hexdigest()
+
 
 def stream_codes(stream):
     """The canonical codes of a stream, checking that each graph is emitted
@@ -284,6 +310,11 @@ class TestCanonicalOutput:
         assert len(out) == 525
         assert (hashlib.sha1("\n".join(out).encode("ascii")).hexdigest()
                 == "2a7994d81012cc40d2f5aeeb73bef4f487339794")
+
+    def test_stream_order_is_pinned(self):
+        # sha1 of the same stream in emission order: the order must not drift
+        spec = SearchSpec(n=10, degree_min=2, degree_max=3)
+        assert _sha1(enumerate_constrained(spec)) == "4687f10547ffdd151be65ebe4b1eadf551b6c1c9"
 
 
 class TestEdgeKey:

@@ -151,6 +151,25 @@ class TestConnectivity:
             assert not ok
             assert wit == frozenset(c.roles["shared"])
 
+    def test_separator_on_the_first_labels(self):
+        # every vertex 0..d-2 is in the separator: the flow from d-1 finds it
+        for d in (3, 4, 5):
+            c = build_glued_cliques(d, d - 1)
+            shared = sorted(c.roles["shared"])
+            rest = [v for v in range(c.graph.n) if v not in shared]
+            perm = [0] * c.graph.n
+            for new, old in enumerate(shared + rest):
+                perm[old] = new
+            ok, wit = is_k_connected(c.graph.relabel(perm), d)
+            assert not ok and wit == frozenset(range(d - 1))
+
+    def test_augmenting_path_backs_over_a_used_vertex(self):
+        # a 6-cycle with a pendant vertex 5 at the cut vertex 0: for the pair
+        # (1, 5) the search must step back over a vertex carrying flow, or
+        # it reads off {0, 4} instead of {0}
+        g = Graph(7, ((0, 2), (0, 3), (0, 5), (1, 4), (1, 6), (2, 6), (3, 4)))
+        assert is_k_connected(g, 2) == (False, frozenset({0}))
+
     def test_c4_not_3_connected(self):
         ok, wit = is_k_connected(cycle_graph(4), 3)
         assert not ok and len(wit) == 2
@@ -159,10 +178,62 @@ class TestConnectivity:
         ok, wit = is_k_connected(complete_graph(3), 3)
         assert not ok and wit is None
 
-    @given(graphs(min_n=2, max_n=8), st.integers(1, 4))
-    def test_agrees_with_networkx(self, g, k):
-        ok, _ = is_k_connected(g, k)
-        assert ok == (g.n > k and nx.node_connectivity(to_nx(g)) >= k)
+    @given(graphs(min_n=2, max_n=16), st.booleans(), st.integers(1, 7))
+    def test_agrees_with_networkx(self, g, dense, k):
+        if dense:
+            g = complement(g)
+        ok, wit = is_k_connected(g, k)
+        kappa = nx.node_connectivity(to_nx(g))
+        assert ok == (g.n > k and kappa >= k)
+        if not ok and wit is not None:
+            # a minimum separator: size kappa, and G minus it is disconnected
+            assert len(wit) == kappa
+            rest = [v for v in range(g.n) if v not in wit]
+            assert not nx.is_connected(to_nx(g).subgraph(rest))
+        assert (wit is None) == (ok or g.n <= k)
+
+    def test_matches_subset_search(self, rng):
+        for _ in range(300):
+            n = rng.randrange(2, 13)
+            p = rng.random()
+            g = Graph(n, tuple(e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < p))
+            k = rng.randrange(1, 8)
+            ok, wit = is_k_connected(g, k)
+            ref_ok, ref_wit = brute_is_k_connected(g, k)
+            assert ok == ref_ok
+            assert (wit is None) == (ref_wit is None)
+            if wit is not None:
+                assert len(wit) == len(ref_wit) and separates(g, wit)
+
+
+def brute_is_k_connected(g: Graph, k: int):
+    """Reference: try every vertex set of fewer than k vertices, smallest
+    first; the first one that separates G is a minimum separator."""
+    if g.n <= k:
+        return (False, None)
+    if not g.is_connected():
+        return (False, frozenset())
+    for size in range(1, k):
+        for cut in itertools.combinations(range(g.n), size):
+            if separates(g, cut):
+                return (False, frozenset(cut))
+    return (True, None)
+
+
+def separates(g: Graph, cut) -> bool:
+    """Whether G minus `cut` has at least two vertices and is disconnected."""
+    rest = [v for v in range(g.n) if v not in cut]
+    if len(rest) <= 1:
+        return False
+    seen = {rest[0]}
+    stack = [rest[0]]
+    while stack:
+        for w in g.neighbors(stack.pop()):
+            if w not in seen and w not in cut:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) < len(rest)
 
 
 class TestDeg23Witness:

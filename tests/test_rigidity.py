@@ -241,6 +241,40 @@ class TestCircuitFallbacks:
         assert c is False
 
 
+class TestWorkPerVerdict:
+    """Each structural fact once per (graph, d) and each point eliminated
+    once within a verdict; an independent graph costs one plain rank."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import rigikit.rigidity as rigidity
+
+        seen = []
+        for name in ("is_d_sparse", "small_cut", "rank_mod_p", "rank_and_left_null_mod_p"):
+            def counted(*args, _name=name, _fn=getattr(rigidity, name), **kwargs):
+                seen.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(rigidity, name, counted)
+        return seen
+
+    def test_glued_family_facts_once(self, calls):
+        for d in (3, 4, 5):
+            calls.clear()
+            flex, v = is_flexible_circuit(B(d, d - 1), d)
+            assert flex is True and v.certificate.kind == CERT_DEPENDENT_CUT
+            assert calls.count("is_d_sparse") == 1 and calls.count("small_cut") == 1
+
+    @pytest.mark.parametrize("g, d, plain, with_null", [
+        (complete_graph(5).without_edge(0, 1), 3, 1, 0),
+        (complete_graph(5), 3, 0, 1),
+        (complete_bipartite(6, 6), 4, 1, 1),
+    ], ids=["independent", "edges-above-count-bound", "edges-at-count-bound"])
+    def test_elimination_schedule(self, calls, g, d, plain, with_null):
+        is_flexible_circuit(g, d)
+        assert (calls.count("rank_mod_p"), calls.count("rank_and_left_null_mod_p")) \
+            == (plain, with_null)
+
+
 class TestStressSupport:
     def test_k5_fully_supported(self):
         sup = stress_support(complete_graph(5), 3, seed=1)

@@ -5,6 +5,7 @@ import pytest
 from rigikit import is_independent
 from rigikit.enumeration import enumerate_regular
 from rigikit.rigidity import CERT_DEPENDENT_COUNT
+from rigikit import verify
 from rigikit.verify import (
     STATUS_FAIL,
     STATUS_PASS,
@@ -14,6 +15,8 @@ from rigikit.verify import (
     default_seed,
     verify_edge_bound,
     verify_families,
+    verify_regular_independence,
+    verify_structure_suites,
 )
 
 
@@ -109,3 +112,41 @@ class TestScope:
         assert r.status == STATUS_PASS
         counts = [c for c in r.details if c["name"].startswith("edge-count")]
         assert [c["edges"] for c in counts] == [18, 26, 35, 45, 56, 68]
+
+
+class TestFaultInjection:
+    """An elimination that undercounts rank by one must turn every report
+    to fail or unresolved, never to pass."""
+
+    @pytest.fixture
+    def undercounting(self, monkeypatch):
+        import rigikit.rigidity as rigidity
+
+        plain, with_null = rigidity.rank_mod_p, rigidity.rank_and_left_null_mod_p
+
+        def rank(rows, p=rigidity.DEFAULT_PRIME):
+            return max(plain(rows, p) - 1, 0)
+
+        def rank_and_null(rows, p=rigidity.DEFAULT_PRIME):
+            r, null = with_null(rows, p)
+            return max(r - 1, 0), null
+
+        monkeypatch.setattr(rigidity, "rank_mod_p", rank)
+        monkeypatch.setattr(rigidity, "rank_and_left_null_mod_p", rank_and_null)
+        # the degree-2/3 suite never calls the oracle and takes most of the
+        # structure report's time; the other suites must fail it on their own
+        monkeypatch.setattr(verify, "_suite_deg23",
+                            lambda: verify._suite("degree-2-3-distance", 0, []))
+
+    def test_no_report_passes(self, undercounting):
+        rep, found = classify_flexible_circuits(3, 8, seed=1)
+        reports = [
+            verify_regular_independence(1, seed=1),
+            verify_regular_independence(2, seed=1),
+            verify_families(5, seed=1),
+            rep,
+            verify_edge_bound(8, seed=1, classification=found),
+            verify_structure_suites(seed=1),
+        ]
+        for r in reports:
+            assert r.status in (STATUS_FAIL, STATUS_UNRESOLVED), r.claim
