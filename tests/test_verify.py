@@ -2,10 +2,9 @@ import json
 
 import pytest
 
-from rigikit import is_independent
+from rigikit import is_independent, verify
 from rigikit.enumeration import enumerate_regular
 from rigikit.rigidity import CERT_DEPENDENT_COUNT
-from rigikit import verify
 from rigikit.verify import (
     STATUS_FAIL,
     STATUS_PASS,
