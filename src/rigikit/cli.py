@@ -35,16 +35,7 @@ from .rigidity import (
     is_independent,
     is_rigid,
 )
-from .verify import (
-    CLAIMS,
-    classify_flexible_circuits,
-    default_seed,
-    run_all,
-    verify_edge_bound,
-    verify_families,
-    verify_regular_independence,
-    verify_structure_suites,
-)
+from .verify import CLAIMS, default_seed, run_all
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
 
@@ -154,7 +145,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                         metavar="i/m")
 
     p_ver = sub.add_parser("verify", help="reproduce a computational claim")
-    p_ver.add_argument("claim", choices=CLAIMS + ("all",))
+    p_ver.add_argument("claim", choices=(*CLAIMS, "all"))
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--partition", type=_parse_partition, default=(0, 1),
                        metavar="i/m")
@@ -285,22 +276,10 @@ def _op(args) -> int:
 
 
 def _verify(args) -> int:
-    seed = args.seed
     if args.claim == "all":
-        reports = run_all(seed=seed, d3_partition=args.partition)
-    elif args.claim == "regular-independence-i":
-        reports = [verify_regular_independence(1, seed=seed, partition=args.partition)]
-    elif args.claim == "regular-independence-ii":
-        reports = [verify_regular_independence(2, seed=seed, partition=args.partition)]
-    elif args.claim == "flexible-families":
-        reports = [verify_families(5, seed=seed)]
-    elif args.claim == "classify-d3":
-        report, found = classify_flexible_circuits(3, 9, seed=seed, partition=args.partition)
-        reports = [report]
-    elif args.claim == "edge-bound":
-        reports = [verify_edge_bound(8, seed=seed)]
+        reports = run_all(seed=args.seed, d3_partition=args.partition)
     else:
-        reports = [verify_structure_suites(seed=seed)]
+        reports = [CLAIMS[args.claim](args.seed, args.partition)]
 
     payload = [r.to_json() for r in reports]
     if args.out:

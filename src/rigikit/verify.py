@@ -15,7 +15,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import __version__
 from .canon import canonical_code
@@ -47,15 +47,6 @@ from .rigidity import (
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_UNRESOLVED = "unresolved"
-
-CLAIMS = (
-    "regular-independence-i",
-    "regular-independence-ii",
-    "flexible-families",
-    "classify-d3",
-    "edge-bound",
-    "structure-suites",
-)
 
 
 def default_seed() -> int:
@@ -137,6 +128,17 @@ def verify_regular_independence(
     return _finish(f"regular-independence-{'i' if part == 1 else 'ii'}", seed, checks, t0)
 
 
+def _flexible_families(d: int) -> list[tuple[str, Graph]]:
+    """The named flexible circuits at dimension d: B_{d,d-1}, B_{d,d-2}
+    when d >= 4, and the members of enumerate_glued_cliques_plus(d)."""
+    members = [(f"glued-cliques-{d}-{d-1}", build_glued_cliques(d, d - 1).graph)]
+    if d >= 4:
+        members.append((f"glued-cliques-{d}-{d-2}", build_glued_cliques(d, d - 2).graph))
+    for i, c in enumerate(enumerate_glued_cliques_plus(d), start=1):
+        members.append((f"glued-cliques-plus-{d}-#{i}", c.graph))
+    return members
+
+
 def verify_families(d_max: int = 5, seed: Optional[int] = None) -> VerificationReport:
     """The overlapping-clique families are flexible circuits at their native
     dimension, with a cut-based flexibility certificate; K_{d+2,d+2} is a
@@ -149,21 +151,15 @@ def verify_families(d_max: int = 5, seed: Optional[int] = None) -> VerificationR
     expected_rank = {(3, 2): 17, (4, 3): 25, (4, 2): 27}
 
     for d in range(3, d_max + 1):
-        families = [(f"glued-cliques-{d}-{d-1}", build_glued_cliques(d, d - 1))]
-        if d >= 4:
-            families.append((f"glued-cliques-{d}-{d-2}", build_glued_cliques(d, d - 2)))
-        for i, c in enumerate(enumerate_glued_cliques_plus(d), start=1):
-            families.append((f"glued-cliques-plus-{d}-#{i}", c))
-        for name, c in families:
-            g = c.graph
+        for name, g in _flexible_families(d):
             flex, v = is_flexible_circuit(g, d, seed=seed)
             cutset = small_cut(g, d)
+            cut = sorted(cutset) if cutset is not None else None
             checks.append({
                 "name": name,
                 "ok": flex is True and v.rank_lb == g.m - 1 and cutset is not None,
-                "flexibility_cut": sorted(cutset) if cutset is not None else None,
-                "dependence_cut": sorted(dependent_by_cut(g, d) or ())
-                if is_d_sparse(g, d).tight else None,
+                "flexibility_cut": cut,
+                "dependence_cut": cut if is_d_sparse(g, d).tight else None,
                 **_verdict_detail(g, v),
             })
         kg = complete_bipartite(d + 2, d + 2)
@@ -192,19 +188,18 @@ def classify_flexible_circuits(
     n_max: int,
     seed: Optional[int] = None,
     partition: tuple[int, int] = (0, 1),
-    allow_long: bool = False,
 ) -> tuple[VerificationReport, list[str]]:
     """Exhaustive search for flexible circuits on up to n_max vertices.
 
     Enumerates the survivors of the necessary conditions (minimum degree
     d+1, hence at least n(d+1)/2 edges, and d-sparsity) and runs the full
-    circuit test on each. Supported at d=3; d=4 sits behind allow_long.
-    Returns the report plus the graph6 codes of all flexible circuits found;
-    for a full (unsharded) d=3 run the report also asserts equality with the
-    constructed families.
+    circuit test on each. Supported at d=3 and d=4. Returns the report plus
+    the graph6 codes of all flexible circuits found; for a full (unsharded)
+    run the report also asserts equality with the named families on at most
+    n_max vertices.
     """
-    if d != 3 and not (d == 4 and allow_long):
-        raise ValueError("exhaustive classification is scoped to d=3 (d=4 behind allow_long)")
+    if d not in (3, 4):
+        raise ValueError("exhaustive classification is scoped to d=3 and d=4")
     if n_max > d + 6:
         raise ValueError(f"classification covers at most d+6 = {d+6} vertices")
     seed = default_seed() if seed is None else seed
@@ -234,21 +229,16 @@ def classify_flexible_circuits(
     found.sort()
     checks.append({"name": "survivors-tested", "ok": True, "count": survivors})
 
-    if d == 3 and partition == (0, 1):
-        expected = set()
-        b = build_glued_cliques(3, 2).graph
-        if b.n <= n_max:
-            expected.add(canonical_code(b).decode("ascii"))
-        for c in enumerate_glued_cliques_plus(3):
-            if c.graph.n <= n_max:
-                expected.add(canonical_code(c.graph).decode("ascii"))
+    if partition == (0, 1):
+        expected = {canonical_code(g).decode("ascii")
+                    for _, g in _flexible_families(d) if g.n <= n_max}
         checks.append({
             "name": "matches-constructed-families",
             "ok": set(found) == expected,
             "found": found,
             "expected": sorted(expected),
         })
-    return _finish("classify-d3", seed, checks, t0), found
+    return _finish(f"classify-d{d}", seed, checks, t0), found
 
 
 def verify_edge_bound(
@@ -715,8 +705,7 @@ def _suite_deg23() -> dict:
     for n in (11, 12):
         spec = SearchSpec(n=n, degree_min=2, degree_max=3)
         for g in enumerate_constrained(spec):
-            dmin, dmax, _ = (min(g.degrees), max(g.degrees), None)
-            if not (dmin == 2 and dmax == 3):
+            if min(g.degrees) != 2 or max(g.degrees) != 3:
                 continue
             total += 1
             w = find_deg23_witness(g)
@@ -729,6 +718,23 @@ def _suite_deg23() -> dict:
             if not ok:
                 failures.append({"n": n, "graph6": g.to_graph6()})
     return _suite("degree-2-3-distance", total, failures)
+
+
+# claim name -> runner(seed, partition); `run_all` runs every claim but
+# classify-d4
+CLAIMS: dict[str, Callable[[Optional[int], tuple[int, int]], VerificationReport]] = {
+    "regular-independence-i":
+        lambda seed, part: verify_regular_independence(1, seed=seed, partition=part),
+    "regular-independence-ii":
+        lambda seed, part: verify_regular_independence(2, seed=seed, partition=part),
+    "flexible-families": lambda seed, part: verify_families(5, seed=seed),
+    "classify-d3":
+        lambda seed, part: classify_flexible_circuits(3, 9, seed=seed, partition=part)[0],
+    "classify-d4":
+        lambda seed, part: classify_flexible_circuits(4, 10, seed=seed, partition=part)[0],
+    "edge-bound": lambda seed, part: verify_edge_bound(8, seed=seed),
+    "structure-suites": lambda seed, part: verify_structure_suites(seed=seed),
+}
 
 
 def run_all(

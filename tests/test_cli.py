@@ -6,6 +6,7 @@ import pytest
 from rigikit import Graph, complete_graph, canonical_code
 from rigikit.cli import main
 from rigikit.constructions import build_glued_cliques
+from rigikit.verify import CLAIMS
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -117,6 +118,7 @@ class TestUsage:
         ["enumerate"],
         ["no-such-command"],
         ["check", "planar"],
+        ["verify", "no-such-claim"],
     ])
     def test_rejected_command_line_exits_3(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -175,6 +177,14 @@ class TestEnumerate:
 
 
 class TestVerifyCommand:
+    def test_claim_choices_are_the_claim_mapping(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        claim = lines[lines.index("positional arguments:") + 1]
+        choices = claim.strip().strip("{}").split(",")
+        assert choices == [*CLAIMS, "all"]
+
     def test_families_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out = run(capsys, ["verify", "flexible-families", "--seed", "7",

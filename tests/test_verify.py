@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -59,6 +60,41 @@ class TestReportMechanics:
         assert a[1] == b[1] == []
 
 
+class TestFamilies:
+    def test_each_fact_once_per_member(self, monkeypatch):
+        # the report reads the cut and the sparsity once per member; inside
+        # rigidity each verdict computes each fact at most once
+        import rigikit.rigidity as rigidity
+
+        calls = Counter()
+
+        def counted(mod, name):
+            fn = getattr(mod, name)
+
+            def wrapped(g, d):
+                calls[mod.__name__, name, g.to_graph6()] += 1
+                return fn(g, d)
+            monkeypatch.setattr(mod, name, wrapped)
+
+        for mod in (verify, rigidity):
+            for name in ("small_cut", "is_d_sparse"):
+                counted(mod, name)
+
+        class CountedFacts(rigidity._Facts):
+            def __init__(self, g, d):
+                calls["verdict", g.to_graph6()] += 1
+                super().__init__(g, d)
+        monkeypatch.setattr(rigidity, "_Facts", CountedFacts)
+
+        assert verify_families(4, seed=1).status == STATUS_PASS
+        members = [g.to_graph6() for d in (3, 4) for _, g in verify._flexible_families(d)]
+        assert len(members) == 14
+        for g6 in members:
+            for name in ("small_cut", "is_d_sparse"):
+                assert calls["rigikit.verify", name, g6] == 1, (name, g6)
+                assert calls["rigikit.rigidity", name, g6] <= calls["verdict", g6], (name, g6)
+
+
 class TestMutation:
     def test_corrupted_regular_graph_fails_sparsity(self):
         # adding any edge to a 6-regular graph on 10 vertices breaks the
@@ -84,22 +120,17 @@ class TestMutation:
 class TestScope:
     def test_classify_supported_dimensions(self):
         with pytest.raises(ValueError):
-            classify_flexible_circuits(4, 9)
-        with pytest.raises(ValueError):
-            classify_flexible_circuits(5, 9, allow_long=True)
+            classify_flexible_circuits(5, 9)
         with pytest.raises(ValueError):
             classify_flexible_circuits(3, 10)
+        with pytest.raises(ValueError):
+            classify_flexible_circuits(4, 11)
 
     def test_small_windows(self):
         rep, found = classify_flexible_circuits(3, 7, seed=0)
         assert rep.status == STATUS_PASS and found == []
         rep, found = classify_flexible_circuits(3, 8, seed=0)
         assert rep.status == STATUS_PASS and len(found) == 1
-
-    def test_d4_long_path_runs_on_small_windows(self):
-        # circuits on at most d+3 vertices are rigid, so nothing shows up
-        rep, found = classify_flexible_circuits(4, 7, seed=0, allow_long=True)
-        assert rep.status == STATUS_PASS and found == []
 
     def test_edge_bound_formula_only(self):
         # supply a fake classification so the unit test stays fast
