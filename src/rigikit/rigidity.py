@@ -9,12 +9,16 @@ generic rank, so:
 * independence (rank = |E|) claimed from one full-row-rank evaluation is a
   proof, as is rigidity claimed from an evaluation meeting the count bound
   d|V| - C(d+1,2);
-* dependence and flexibility are proved deterministically when a counting
-  certificate applies (a subgraph violating the sparsity count, or a vertex
-  cut of size <= d-1 in a graph meeting the count bound), and otherwise rest
-  on Schwartz-Zippel: the probability that `trials` independent uniform
+* dependence is proved deterministically by a subgraph violating the
+  sparsity count, or by a vertex cut of size <= d-1 in a d-tight graph (one
+  that is d-sparse with exactly d|V| - C(d+1,2) edges); a small cut alone
+  proves only flexibility. Otherwise dependence and flexibility rest on
+  Schwartz-Zippel: the probability that `trials` independent uniform
   evaluations all miss the generic rank is at most (r/p)^trials, r being the
-  count upper bound.
+  count upper bound;
+* a circuit's flexibility follows from its count: once G is shown to be a
+  circuit its generic rank is |E| - 1, so it is flexible exactly when
+  |E| - 1 < d|V| - C(d+1,2).
 
 Any dependence-style claim whose failure bound exceeds the configured
 threshold is reported as unresolved (None) rather than guessed.
@@ -237,19 +241,14 @@ def dependent_by_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
     d-tight graph forces r_d(G) <= d|V| - C(d+1,2) - 1 < |E|."""
     if g.n < d + 2:
         raise ValueError("cut certificate needs |V| >= d+2")
-    cut = small_cut(g, d)
-    if cut is None:
-        return None
-    if not is_d_sparse(g, d).tight:
-        return None
-    return cut
+    return _Facts(g, d).dependence_cut
 
 
 class _Facts:
     """The structural facts one verdict consults about (graph, d): the count
-    bound, the sparsity report and a vertex cut of size <= d-1. Each is
-    computed at most once, when first asked for, and lives only as long as
-    the verdict that holds it."""
+    bound, the sparsity report, a vertex cut of size <= d-1, and the cut
+    that proves dependence. Each is computed at most once, when first asked
+    for, and lives only as long as the verdict that holds it."""
 
     def __init__(self, g: Graph, d: int) -> None:
         self.g = g
@@ -258,15 +257,17 @@ class _Facts:
 
     @cached_property
     def sparsity(self) -> SparsityReport:
-        if self.g.n < self.d + 2:
-            return SparsityReport(self.d, True, False)
         return is_d_sparse(self.g, self.d)
 
     @cached_property
     def cut(self) -> Optional[frozenset[int]]:
-        if self.g.n < self.d + 2:
-            return None
         return small_cut(self.g, self.d)
+
+    @cached_property
+    def dependence_cut(self) -> Optional[frozenset[int]]:
+        """The small cut when the graph is d-tight, else None. On n <= d+1
+        vertices a tight graph is complete or has n <= d, so it has no cut."""
+        return self.cut if self.sparsity.tight else None
 
 
 # a trial point: the rank there, and a left null space basis when computed
@@ -332,26 +333,23 @@ def _assess(
     if rank_lb == m:
         cert = Certificate(CERT_INDEPENDENT)
         independent: Optional[bool] = True
+    elif not facts.sparsity.sparse:
+        cert = Certificate(CERT_DEPENDENT_COUNT, witness=facts.sparsity.violator)
+        independent = False
+    elif facts.dependence_cut is not None:
+        cert = Certificate(CERT_DEPENDENT_CUT, witness=facts.dependence_cut)
+        independent = False
     else:
-        sp = facts.sparsity
-        if not sp.sparse:
-            cert = Certificate(CERT_DEPENDENT_COUNT, witness=sp.violator)
-            independent = False
-        else:
-            cut = facts.cut if sp.tight else None
-            if cut is not None:
-                cert = Certificate(CERT_DEPENDENT_CUT, witness=cut)
-                independent = False
-            else:
-                cert = Certificate(CERT_MONTE_CARLO, failure_bound=bound)
-                independent = False if bound <= threshold else None
+        cert = Certificate(CERT_MONTE_CARLO, failure_bound=bound)
+        independent = False if bound <= threshold else None
 
     rigid: Optional[bool]
     target = rigidity_target(g, d)
     if g.n <= d + 1:
-        # small graphs: every graph is independent, rank known once witnessed
+        # small graphs: every graph is independent, and rigid exactly when
+        # complete; trusted once the rank is witnessed
         if rank_lb == m:
-            rigid = m == math.comb(g.n, 2) or rank_lb == target
+            rigid = m == math.comb(g.n, 2)
         else:
             rigid = None  # freak specialization failure; do not guess
     elif rank_lb >= target:
@@ -430,12 +428,16 @@ def is_circuit(
         flex = False if circuit is False else None
         return circuit, replace(verdict, circuit=circuit, flexible_circuit=flex)
 
-    # rank_lb == m-1: stress support fast path at the evaluated points
+    # rank_lb == m-1. A circuit's generic rank is |E|-1, so its flexibility
+    # is a count comparison
+    flexible = m - 1 < rigidity_target(g, d)
+    circuit_verdict = replace(verdict, circuit=True, flexible_circuit=flexible,
+                              rigid=not flexible)
+    # stress support fast path at the evaluated points
     for rank, null in points:
         if rank == m - 1 and null is not None and len(null) == 1 and all(null[0]):
-            return True, _finish_circuit_true(facts, verdict, threshold)
+            return True, circuit_verdict
     # fall back to explicit per-edge checks with fresh points
-    mc_bound = verdict.certificate.failure_bound
     for e in g.edges:
         ge = g.without_edge(*e)
         sub, subv = is_independent(ge, d, trials=trials, seed=rng.getrandbits(63),
@@ -443,37 +445,15 @@ def is_circuit(
         if sub is True:
             continue
         circuit = False if sub is False else None
-        if circuit is False:
-            mc_bound += subv.certificate.failure_bound
-        out = replace(verdict, circuit=circuit,
-                      certificate=_with_bound(verdict.certificate, mc_bound),
+        cert = verdict.certificate
+        if circuit is False and cert.kind == CERT_MONTE_CARLO:
+            # the claim now also rests on the deletion's dependence
+            cert = replace(cert, failure_bound=cert.failure_bound
+                           + subv.certificate.failure_bound)
+        out = replace(verdict, circuit=circuit, certificate=cert,
                       flexible_circuit=False if circuit is False else None)
         return circuit, out
-    return True, _finish_circuit_true(facts, verdict, threshold)
-
-
-def _with_bound(cert: Certificate, bound: float) -> Certificate:
-    if cert.kind != CERT_MONTE_CARLO:
-        return cert
-    return Certificate(cert.kind, failure_bound=bound, witness=cert.witness)
-
-
-def _finish_circuit_true(
-    facts: _Facts, verdict: MatroidVerdict, threshold: float
-) -> MatroidVerdict:
-    """Once G is a circuit its generic rank is |E|-1, so flexibility reduces
-    to a count comparison; a small cut settles it outright."""
-    target = rigidity_target(facts.g, facts.d)
-    if facts.g.m - 1 >= target:
-        flex: Optional[bool] = False
-    elif facts.cut is not None:
-        flex = True
-    elif verdict.certificate.kind != CERT_MONTE_CARLO:
-        flex = True
-    else:
-        flex = True if verdict.certificate.failure_bound <= threshold else None
-    rigid = (not flex) if flex is not None else verdict.rigid
-    return replace(verdict, circuit=True, flexible_circuit=flex, rigid=rigid)
+    return True, circuit_verdict
 
 
 def is_flexible_circuit(
@@ -481,12 +461,8 @@ def is_flexible_circuit(
     p: int = DEFAULT_PRIME, threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[Optional[bool], MatroidVerdict]:
     """Circuit and not rigid."""
-    circ, verdict = is_circuit(g, d, trials=trials, seed=seed, p=p, threshold=threshold)
-    if circ is None:
-        return None, verdict
-    if circ is False:
-        return False, replace(verdict, flexible_circuit=False)
-    return verdict.flexible_circuit, verdict
+    _, v = is_circuit(g, d, trials=trials, seed=seed, p=p, threshold=threshold)
+    return v.flexible_circuit, v
 
 
 def stress_support(

@@ -167,6 +167,17 @@ class TestCertificates:
         v = generic_rank(complete_graph(7), 3, trials=1)
         assert v.rigid is True and v.independent is False
 
+    def test_small_graphs_rigid_exactly_when_complete(self):
+        # on n <= d+1 vertices the count d|V| - C(d+1,2) can fall below
+        # C(n,2), so meeting it does not make an incomplete graph rigid
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, tuple(e for i, e in enumerate(pairs) if mask >> i & 1))
+                for d in range(max(n - 1, 1), 6):
+                    v = generic_rank(g, d)
+                    assert v.rigid is (g.m == len(pairs)), (g.to_graph6(), d)
+
 
 class TestSparsity:
     def test_kd2_not_sparse(self):
@@ -263,6 +274,14 @@ class TestWorkPerVerdict:
             flex, v = is_flexible_circuit(B(d, d - 1), d)
             assert flex is True and v.certificate.kind == CERT_DEPENDENT_CUT
             assert calls.count("is_d_sparse") == 1 and calls.count("small_cut") == 1
+
+    @pytest.mark.parametrize("g", [B(4, 2), complete_bipartite(6, 6)],
+                             ids=["B42", "K66"])
+    def test_circuit_flexibility_from_count(self, calls, g):
+        # neither graph is d-tight, so no rule asks for a small cut
+        flex, v = is_flexible_circuit(g, 4)
+        assert flex is True and v.rank_lb == g.m - 1
+        assert calls.count("small_cut") == 0
 
     @pytest.mark.parametrize("g, d, plain, with_null", [
         (complete_graph(5).without_edge(0, 1), 3, 1, 0),
