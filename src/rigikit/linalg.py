@@ -22,28 +22,50 @@ def rank_and_left_null_mod_p(
 ) -> tuple[int, list[list[int]]]:
     """Rank plus a basis of the left null space over F_p.
 
-    Eliminates the matrix augmented with an identity block; rows whose
-    original part vanishes have augmented parts spanning {x : x A = 0}.
+    The basis is what eliminating the matrix augmented with an identity
+    block leaves in the augmented part of the rows whose original part
+    vanishes. That part is not carried through the elimination. Rows are
+    never scaled, so a row's augmented part is its own unit vector plus, for
+    each pivot row added to it with multiplier f, f times that pivot row's
+    augmented part. The elimination logs the multipliers, and each null
+    row's augmented part is expanded from the log, latest pivot first.
     """
     m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = []
-    for i, r in enumerate(rows):
-        row = r[:] + [0] * m
-        row[ncols + i] = 1
-        aug.append(row)
-    rank = _eliminate(aug, p, active_cols=ncols)
-    null = [row[ncols:] for row in aug[rank:]]
+    work = [r[:] for r in rows]
+    log: list[tuple[int, list[tuple[int, int]]]] = [(i, []) for i in range(m)]
+    rank = _eliminate(work, p, log)
+    null = []
+    for i in range(rank, m):
+        origin, added = log[i]
+        x = [0] * m
+        x[origin] = 1
+        w = [0] * rank  # multiples of the pivot rows still to expand
+        for j, f in added:
+            w[j] = f
+        for j in range(rank - 1, -1, -1):
+            if w[j]:
+                pivot_origin, pivot_added = log[j]
+                x[pivot_origin] = w[j]
+                for k, f in pivot_added:
+                    w[k] = (w[k] + w[j] * f) % p
+        null.append(x)
     return rank, null
 
 
-def _eliminate(rows: list[list[int]], p: int, active_cols: int | None = None) -> int:
-    """In-place row echelon over F_p; returns rank. Pivots only in the first
-    active_cols columns (defaults to all)."""
+def _eliminate(
+    rows: list[list[int]], p: int,
+    log: list[tuple[int, list[tuple[int, int]]]] | None = None,
+) -> int:
+    """In-place row echelon over F_p; returns rank.
+
+    With `log`, one entry per row that moves with it, each update of a row
+    by the pivot row at rank position j appends (j, multiplier) to the
+    entry's list.
+    """
     m = len(rows)
     if m == 0:
         return 0
-    ncols = len(rows[0]) if active_cols is None else active_cols
+    ncols = len(rows[0])
     rank = 0
     for c in range(ncols):
         piv = -1
@@ -54,6 +76,8 @@ def _eliminate(rows: list[list[int]], p: int, active_cols: int | None = None) ->
         if piv < 0:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
+        if log is not None:
+            log[rank], log[piv] = log[piv], log[rank]
         # the pivot row stays unscaled: each row below takes the multiple
         # -f/pivot of it, which leaves the rows below exactly as scaling first
         tail = rows[rank][c:]
@@ -64,6 +88,8 @@ def _eliminate(rows: list[list[int]], p: int, active_cols: int | None = None) ->
             if f:
                 f = f * neg_inv % p
                 rows[i] = ri[:c] + [(a + f * b) % p for a, b in zip(ri[c:], tail)]
+                if log is not None:
+                    log[i][1].append((rank, f))
         rank += 1
         if rank == m:
             break

@@ -26,23 +26,25 @@ threshold is reported as unresolved (None) rather than guessed.
 Work per verdict
 ----------------
 A verdict computes each structural fact of (graph, d) at most once: the
-count bound, the sparsity report (a subset sweep, n <= 20) and the small
-vertex cut (max-flow vertex connectivity, `graph.is_k_connected`). Each
-random point is eliminated once. `is_circuit` asks for the left null space
-of a point, in the same elimination, only where it can use it: when |E|
-exceeds the count bound, after a point that fell short of |E|, or at a sole
-point. Independent graphs therefore cost one plain elimination.
+count bound, the sparsity report (a search inside the (d+1)-core, see
+`is_d_sparse`) and the small vertex cut (max-flow vertex connectivity,
+`graph.is_k_connected`). Each random point is eliminated once.
+`is_circuit` asks for the left null space of a point, in the same
+elimination, only where it can use it: when |E| exceeds the count bound,
+after a point that fell short of |E|, or at a sole point. Independent
+graphs therefore cost one plain elimination.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .graph import Graph, is_k_connected
+from .graph import Graph, _bits, is_k_connected
 from .linalg import DEFAULT_PRIME, rank_and_left_null_mod_p, rank_exact_int, rank_mod_p
 
 # Dependence claims with a Monte Carlo failure bound above this are unresolved.
@@ -188,43 +190,138 @@ class SparsityReport:
     sparse: bool
     tight: bool
     violator: Optional[frozenset[int]] = None
-    excess: int = 0  # max over subsets of |E'| - (d|V'| - C(d+1,2))
+    # the largest |E'| - (d|V'| - C(d+1,2)) over vertex sets with >= d+2
+    # vertices when it is positive; 0 whenever the graph is sparse
+    excess: int = 0
 
     def __bool__(self) -> bool:
         return self.sparse
 
 
 def is_d_sparse(g: Graph, d: int) -> SparsityReport:
-    """Exhaustive subset check of |E'| <= d|V'| - C(d+1,2) over all vertex
-    sets with >= d+2 vertices. Returns a maximally violating subset when the
-    check fails, and reports tightness when |E| meets the bound exactly.
+    """Check |E'| <= d|V'| - C(d+1,2) on every vertex set with >= d+2
+    vertices. When the check fails, `excess` is the largest violation and
+    `violator` the largest set attaining it, ties going to the smallest
+    bitmask. `tight` reports a sparse graph with |E| = d|V| - C(d+1,2).
+
+    Write excess(X) = e(X) - d|X| + C(d+1,2). The search never sweeps all
+    2^n vertex sets:
+
+    * Peeling lemma: if |X| >= d+3 and v in X has at most d neighbours in
+      X, then excess(X - v) >= excess(X). Peeling a violating set ends in a
+      K_{d+2} or in a set of minimum degree >= d+1, so the largest excess is
+      attained inside the (d+1)-core C.
+    * Closure rule: adding a vertex with at least d neighbours in a set of
+      largest excess keeps its excess. Peeling a largest maximizer drops
+      only vertices with exactly d neighbours, and adding them back is such
+      a closure, so the largest maximizers are the largest closures of the
+      maximizers inside C.
+    * Counting: let s = d|C| - C(d+1,2) - e(C) and Y = C - X. Every core
+      degree is >= d+1, so excess(X) = -s - sum_{y in Y}(deg_C y - d) + e(Y)
+      <= -s - |Y| + C(|Y|,2), and X beats C only if |Y| >= 4. So for
+      |C| <= d+5 the answer is C's own count. At |C| = d+6 a violator other
+      than C has |Y| = 4, so it is a K_{d+2}, of excess 1 <= 2 - s; when
+      s < 0 C wins, and when s is 0 or 1 a clique search finds them all.
+      Larger cores are swept, 2^|C| subsets; one of more than 20 vertices
+      raises ValueError.
     """
-    if g.n > 20:
-        raise ValueError("subset search limited to n <= 20")
-    cdd = math.comb(d + 1, 2)
     adj = g.adj
-    worst: tuple[int, int] = (0, 0)  # (excess, size)
-    worst_set = -1
-    if g.n >= d + 2:
-        nedges = [0] * (1 << g.n)
-        for s in range(1, 1 << g.n):
-            low = s & -s
-            rest = s ^ low
-            v = low.bit_length() - 1
-            cnt = nedges[rest] + (adj[v] & rest).bit_count()
-            nedges[s] = cnt
-            size = s.bit_count()
-            if size >= d + 2:
-                excess = cnt - (d * size - cdd)
-                if excess > 0 and (excess, size) > worst:
-                    worst = (excess, size)
-                    worst_set = s
-    sparse = worst_set < 0
+    excess, tops = _core_maximizers(adj, _core(adj, d + 1), d)
     violator = None
-    if not sparse:
-        violator = frozenset(v for v in range(g.n) if worst_set >> v & 1)
-    tight = sparse and g.m == d * g.n - cdd
-    return SparsityReport(d=d, sparse=sparse, tight=tight, violator=violator, excess=worst[0])
+    if tops:
+        best = min((_closure(adj, x, d) for x in tops), key=lambda x: (-x.bit_count(), x))
+        violator = frozenset(_bits(best))
+    sparse = not tops
+    tight = sparse and g.m == rigidity_target(g, d)
+    return SparsityReport(d=d, sparse=sparse, tight=tight, violator=violator, excess=excess)
+
+
+def _core(adj: tuple[int, ...], k: int) -> int:
+    """Bitmask of the k-core: what is left after deleting, one at a time,
+    vertices with fewer than k neighbours left."""
+    core = (1 << len(adj)) - 1
+    stack = [v for v, a in enumerate(adj) if a.bit_count() < k]
+    while stack:
+        v = stack.pop()
+        core ^= 1 << v
+        for w in _bits(adj[v] & core):
+            if (adj[w] & core).bit_count() == k - 1:  # just fell below k
+                stack.append(w)
+    return core
+
+
+# bytes.translate table adding one to every byte value below 255
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+
+
+def _core_maximizers(adj: tuple[int, ...], core: int, d: int) -> tuple[int, list[int]]:
+    """The largest excess over sets inside the (d+1)-core with >= d+2
+    vertices, and bitmasks of sets attaining it such that every set inside
+    the core attaining it lies in one of them; (0, []) when no excess is
+    positive."""
+    vs = list(_bits(core))
+    k = len(vs)
+    if k < d + 2:
+        return 0, []
+    cdd = math.comb(d + 1, 2)
+    s = d * k - cdd - sum((adj[v] & core).bit_count() for v in vs) // 2
+    if s < 0 and k <= d + 6:
+        return -s, [core]
+    if k < d + 6:
+        return 0, []
+    if k == d + 6:
+        # s >= 0 here, so a violator is a K_{d+2}, of excess 1 <= 2 - s
+        tops = _cliques(adj, core, d + 2) if s <= 1 else []
+        return (1, tops) if tops else (0, [])
+
+    if k > 20:
+        raise ValueError("subset search limited to a (d+1)-core of <= 20 vertices")
+    pos = {v: i for i, v in enumerate(vs)}
+    local = [sum(1 << pos[w] for w in _bits(adj[v] & core)) for v in vs]
+    # score(X) = e(X) + d|C - X| = excess(X) + d|C| - C(d+1,2) for X inside
+    # the core, by local bitmask: small nonnegative ints, which CPython shares
+    score = [d * k]
+    for a in local:
+        score += [x + (a & y).bit_count() - d for y, x in enumerate(score)]
+    size = b"\0"  # |X|, likewise
+    for _ in local:
+        size += size.translate(_PLUS_ONE)
+    big = size.translate(bytes(c >= d + 2 for c in range(256)))
+    top = max(itertools.compress(score, big))
+    excess = top - d * k + cdd
+    if excess <= 0:
+        return 0, []
+    tops, y = [], -1
+    for _ in range(score.count(top)):
+        y = score.index(top, y + 1)
+        if big[y]:
+            tops.append(sum(1 << vs[i] for i in _bits(y)))
+    return excess, tops
+
+
+def _cliques(adj: tuple[int, ...], cand: int, size: int) -> list[int]:
+    """Bitmasks of the cliques of `size` vertices inside `cand`."""
+    if size == 0:
+        return [0]
+    out = []
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        rest = cand & adj[low.bit_length() - 1]
+        out += [low | c for c in _cliques(adj, rest, size - 1)]
+    return out
+
+
+def _closure(adj: tuple[int, ...], x: int, d: int) -> int:
+    """x grown by every vertex with at least d neighbours in it, repeatedly."""
+    grown = True
+    while grown:
+        grown = False
+        for v, a in enumerate(adj):
+            if not x >> v & 1 and (a & x).bit_count() >= d:
+                x |= 1 << v
+                grown = True
+    return x
 
 
 def small_cut(g: Graph, d: int) -> Optional[frozenset[int]]:

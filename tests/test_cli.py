@@ -126,6 +126,12 @@ class TestUsage:
         assert exc.value.code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
+        # K_22 is dependent at d=3, and its whole vertex set is its 4-core
+        monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(22).to_graph6() + "\n"))
+        assert main(["check", "independent"]) == 3
+        assert "error:" in capsys.readouterr().err
+
 
 class TestOps:
     def test_cone(self, capsys, monkeypatch):

@@ -94,3 +94,35 @@ def test_left_null_space():
 def test_empty_matrix():
     assert rank_mod_p([]) == 0
     assert rank_exact_int([]) == 0
+
+
+def augmented_rank_and_left_null(rows, p):
+    """Reference: eliminate [A | I] in full, pivoting only in A's columns;
+    rows whose A part vanishes carry a left null space basis."""
+    m = len(rows)
+    ncols = len(rows[0]) if m else 0
+    aug = [r[:] + [int(i == j) for j in range(m)] for i, r in enumerate(rows)]
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, m) if aug[i][c]), None)
+        if piv is None:
+            continue
+        aug[rank], aug[piv] = aug[piv], aug[rank]
+        pr = aug[rank]
+        neg_inv = p - pow(pr[c], -1, p)
+        for i in range(rank + 1, m):
+            f = aug[i][c] * neg_inv % p
+            aug[i] = [(a + f * b) % p for a, b in zip(aug[i], pr)]
+        rank += 1
+    return rank, [row[ncols:] for row in aug[rank:]]
+
+
+def test_left_null_space_equals_augmented_elimination():
+    # a small prime makes zero pivots, row swaps and deep dependencies common
+    rng = random.Random(15)
+    for p in (5, 101, DEFAULT_PRIME):
+        for _ in range(80):
+            m, n = rng.randrange(1, 12), rng.randrange(1, 9)
+            A = random_matrix(rng, m, n, lowrank=rng.random() < 0.7)
+            B = [[x % p for x in r] for r in A]
+            assert rank_and_left_null_mod_p(B, p) == augmented_rank_and_left_null(B, p)
