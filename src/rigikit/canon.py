@@ -1,9 +1,11 @@
 """Canonical labeling by partition refinement with full backtracking.
 
 The canonical code of a graph is the lexicographically least adjacency bit
-string, read in graph6 bit order, over the leaves of a search tree: each node
-refines an ordered partition to an equitable one, then branches on every
-vertex of its first non-singleton cell. Refinement and branching are
+string, read in graph6 bit order, over the leaves of a search tree. That bit
+order is defined in `graph.py` only: `graph6_pack` packs each leaf's bits and
+`graph6_bytes` prints the least as graph6. Each node of the tree refines an
+ordered partition to an equitable one, then branches on every vertex of its
+first non-singleton cell. Refinement and branching are
 isomorphism-equivariant, and a branch is pruned only when a known
 automorphism maps a searched branch onto it. So the minimum over the searched
 leaves is a complete invariant: two graphs receive equal codes exactly when
@@ -43,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, _bits, graph6_bytes, graph6_pack
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class CanonicalLabeling:
 
 def canonical_labeling(g: Graph) -> CanonicalLabeling:
     code_int, perm, _ = canon_raw(g.adj, g.n)
-    return CanonicalLabeling(permutation=perm, code=code_bytes(g.n, code_int))
+    return CanonicalLabeling(permutation=perm, code=graph6_bytes(g.n, code_int))
 
 
 def canonical_code(g: Graph) -> bytes:
@@ -71,20 +73,6 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of the automorphism group discovered during canonization."""
     _, _, gens = canon_raw(g.adj, g.n)
     return gens
-
-
-def code_bytes(n: int, code_int: int) -> bytes:
-    """Render a packed canonical bit string as graph6 bytes."""
-    if n > 62:
-        raise ValueError("graph6 support limited to n <= 62")
-    nbits = n * (n - 1) // 2
-    pad = (-nbits) % 6
-    stream = code_int << pad
-    groups = (nbits + pad) // 6
-    out = [n + 63]
-    for k in range(groups - 1, -1, -1):
-        out.append(((stream >> (6 * k)) & 63) + 63)
-    return bytes(out)
 
 
 def canon_raw(
@@ -141,23 +129,9 @@ def canon_raw(
                 if cend[s] - s > 1:
                     _split(lab, cellof, cend, s, key, fresh)
 
-    def code_of(order: list[int]) -> int:
-        pos = [0] * n
-        for i, v in enumerate(order):
-            pos[v] = i
-        code = 0
-        for j in range(1, n):
-            row = 0
-            for x in nbrs[order[j]]:
-                i = pos[x]
-                if i < j:
-                    row |= 1 << (j - 1 - i)
-            code = (code << j) | row
-        return code
-
     def record_leaf(order: list[int]) -> None:
         nonlocal best_code, best_order, resume_depth
-        code = code_of(order)
+        code = graph6_pack(nbrs, order)
         if best_code is None or code < best_code:
             best_code = code
             best_order = order[:]
@@ -259,16 +233,6 @@ def _split(lab: list[int], cellof: list[int], cend: list[int], s: int,
             if i < e:
                 fresh.append(p)
             p = i
-
-
-def _bits(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _twin_transpositions(adj: Sequence[int], n: int) -> list[tuple[int, ...]]:

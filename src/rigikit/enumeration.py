@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional
 
 from .canon import canon_raw
-from .graph import Graph, complement, is_k_connected
+from .graph import Graph, complement, graph6_pairs, graph6_unpack, is_k_connected
 from .rigidity import is_d_sparse
 
 _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
@@ -103,11 +102,11 @@ def enumerate_constrained(
     for adj, code in _grow(n, cap, floor, lo, hi, partition):
         if any(a.bit_count() < floor for a in adj):
             continue
-        g = _from_code(n, code)
+        g = graph6_unpack(n, code)
         if use_complement:
             g = complement(g)
             if _passes_final(g, spec):
-                yield _from_code(n, canon_raw(g.adj, n)[0])
+                yield graph6_unpack(n, canon_raw(g.adj, n)[0])
         elif _passes_final(g, spec):
             yield g
 
@@ -121,24 +120,6 @@ def enumerate_regular(
     spec = SearchSpec(n=n, degree_min=k, degree_max=k,
                       edge_min=n * k // 2, edge_max=n * k // 2)
     return enumerate_constrained(spec, partition)
-
-
-@lru_cache(maxsize=64)
-def _graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Vertex pairs (i, j), i < j, in graph6 bit order."""
-    return tuple((i, j) for j in range(1, n) for i in range(j))
-
-
-def _from_code(n: int, code: int) -> Graph:
-    """The graph whose graph6 bits, most significant first, are `code`."""
-    pairs = _graph6_pairs(n)
-    top = len(pairs) - 1
-    edges = []
-    while code:
-        low = code & -code
-        edges.append(pairs[top - low.bit_length() + 1])
-        code ^= low
-    return Graph(n, tuple(edges))
 
 
 def _passes_final(g: Graph, spec: SearchSpec) -> bool:
@@ -259,7 +240,7 @@ def _grow(
             yield [0] * n, 0
         return
     shard_depth = min(_SHARD_DEPTH, edge_hi)
-    all_pairs = _graph6_pairs(n)
+    all_pairs = graph6_pairs(n)
 
     def pair_orbit(e: tuple[int, int], gens: list[tuple[int, ...]]) -> set[tuple[int, int]]:
         orbit = {e}

@@ -10,8 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache
+from typing import Iterable, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,13 @@ class Graph:
         return tuple(m.bit_count() for m in self.adj)
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError("vertex out of range")
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        if not 0 <= v < self.n:
+            raise ValueError("vertex out of range")
         return tuple(_bits(self.adj[v]))
 
     def with_edge(self, u: int, v: int) -> "Graph":
@@ -111,11 +115,14 @@ class Graph:
         return graph6_decode(s)
 
 
-def _bits(mask: int):
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def complete_graph(n: int) -> Graph:
@@ -123,6 +130,8 @@ def complete_graph(n: int) -> Graph:
 
 
 def complete_bipartite(s: int, t: int) -> Graph:
+    if s < 0 or t < 0:
+        raise ValueError("part sizes must be nonnegative")
     return Graph(s + t, tuple((i, s + j) for i in range(s) for j in range(t)))
 
 
@@ -317,28 +326,66 @@ def find_deg23_witness(g: Graph) -> Optional[tuple[int, int]]:
 
 
 # --- graph6 ---
+# The one definition of the graph6 bit order: canonical codes, the enumerator
+# and to_graph6 all go through the four functions below, so they agree.
 
 _G6_HEADER = ">>graph6<<"
 
 
-def graph6_encode(g: Graph) -> str:
-    if g.n > 62:
+@lru_cache(maxsize=64)
+def graph6_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """Vertex pairs (i, j), i < j, in graph6 bit order."""
+    return tuple((i, j) for j in range(1, n) for i in range(j))
+
+
+def graph6_pack(nbrs: Sequence[Sequence[int]], order: Sequence[int]) -> int:
+    """The graph6 bits, most significant first, of the graph with neighbour
+    lists `nbrs` relabeled so that vertex order[i] becomes i."""
+    n = len(order)
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    code = 0
+    for j in range(1, n):
+        row = 0
+        for x in nbrs[order[j]]:
+            i = pos[x]
+            if i < j:
+                row |= 1 << (j - 1 - i)
+        code = (code << j) | row
+    return code
+
+
+def graph6_unpack(n: int, code: int) -> Graph:
+    """The graph on n vertices whose graph6 bits, most significant first,
+    are `code`."""
+    pairs = graph6_pairs(n)
+    top = len(pairs) - 1
+    edges = []
+    while code:
+        low = code & -code
+        edges.append(pairs[top - low.bit_length() + 1])
+        code ^= low
+    return Graph(n, tuple(edges))
+
+
+def graph6_bytes(n: int, code: int) -> bytes:
+    """The graph6 bytes of the graph on n vertices whose packed bits are
+    `code`."""
+    if n > 62:
         raise ValueError("graph6 support limited to n <= 62")
-    out = [g.n + 63]
-    bits = 0
-    nbits = 0
-    acc: list[int] = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits = (bits << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                acc.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        acc.append((bits << (6 - nbits)) + 63)
-    return bytes(out + acc).decode("ascii")
+    nbits = n * (n - 1) // 2
+    pad = (-nbits) % 6
+    stream = code << pad
+    out = [n + 63]
+    for k in range((nbits + pad) // 6 - 1, -1, -1):
+        out.append(((stream >> (6 * k)) & 63) + 63)
+    return bytes(out)
+
+
+def graph6_encode(g: Graph) -> str:
+    code = graph6_pack([_bits(a) for a in g.adj], range(g.n))
+    return graph6_bytes(g.n, code).decode("ascii")
 
 
 def graph6_decode(s: str) -> Graph:
@@ -351,7 +398,8 @@ def graph6_decode(s: str) -> Graph:
     n = data[0] - 63
     if not (0 <= n <= 62):
         raise ValueError("graph6 support limited to n <= 62")
-    need = (n * (n - 1) // 2 + 5) // 6
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
     body = data[1:]
     if len(body) != need:
         raise ValueError(f"graph6 body length {len(body)}, expected {need}")
@@ -360,12 +408,5 @@ def graph6_decode(s: str) -> Graph:
         if not (63 <= b <= 126):
             raise ValueError("invalid graph6 byte")
         stream = (stream << 6) | (b - 63)
-    total = 6 * len(body)
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if stream >> (total - 1 - pos) & 1:
-                edges.append((i, j))
-            pos += 1
-    return Graph(n, tuple(edges))
+    # the last byte's low bits are padding
+    return graph6_unpack(n, stream >> (6 * need - nbits))

@@ -92,10 +92,6 @@ def _finish(claim: str, seed: int, checks: list[dict], t0: float) -> Verificatio
     )
 
 
-def _verdict_detail(g: Graph, v) -> dict:
-    return {"graph6": g.to_graph6(), **v.to_json()}
-
-
 def verify_regular_independence(
     part: int, seed: Optional[int] = None, partition: tuple[int, int] = (0, 1)
 ) -> VerificationReport:
@@ -116,7 +112,7 @@ def verify_regular_independence(
         checks.append({
             "name": f"{k}-regular-{n}v-#{count}",
             "ok": ok is True and v.rank_lb == g.m == target,
-            **_verdict_detail(g, v),
+            **v.to_json(g),
         })
     full_run = partition == (0, 1)
     checks.append({
@@ -162,7 +158,7 @@ def verify_families(d_max: int = 5, seed: Optional[int] = None) -> VerificationR
                 "ok": flex is True and v.rank_lb == g.m - 1 and cutset is not None,
                 "flexibility_cut": sorted(cutset) if cutset is not None else None,
                 "dependence_cut": sorted(dep) if dep is not None else None,
-                **_verdict_detail(g, v),
+                **v.to_json(g),
             })
         kg = complete_bipartite(d + 2, d + 2)
         circ, v = is_circuit(kg, d, seed=seed)
@@ -170,7 +166,7 @@ def verify_families(d_max: int = 5, seed: Optional[int] = None) -> VerificationR
         checks.append({
             "name": f"complete-bipartite-{d+2}-{d+2}-d{d}",
             "ok": circ is True and (v.flexible_circuit is True) == flex_want,
-            **_verdict_detail(kg, v),
+            **v.to_json(kg),
         })
 
     for (d, t), rank in expected_rank.items():
@@ -180,7 +176,7 @@ def verify_families(d_max: int = 5, seed: Optional[int] = None) -> VerificationR
             "name": f"rank-glued-{d}-{t}",
             "ok": v.rank_lb == rank,
             "expected_rank": rank,
-            **_verdict_detail(g, v),
+            **v.to_json(g),
         })
     return _finish("flexible-families", seed, checks, t0)
 
@@ -223,11 +219,11 @@ def classify_flexible_circuits(
             if flex is None:
                 unresolved += 1
                 checks.append({"name": f"unresolved-#{survivors}",
-                               "ok": None, **_verdict_detail(g, v)})
+                               "ok": None, **v.to_json(g)})
             elif flex:
                 found.append(g.to_graph6())
                 checks.append({"name": f"flexible-circuit-#{len(found)}",
-                               "ok": True, **_verdict_detail(g, v)})
+                               "ok": True, **v.to_json(g)})
     found.sort()
     checks.append({"name": "survivors-tested", "ok": True, "count": survivors})
 
@@ -272,7 +268,7 @@ def verify_edge_bound(
     checks.append({
         "name": "minimum-attained-d3",
         "ok": flex is True and b32_graph.m == 18,
-        **_verdict_detail(b32_graph, v),
+        **v.to_json(b32_graph),
     })
     if classification is None:
         _, classification = classify_flexible_circuits(3, 9, seed=seed)

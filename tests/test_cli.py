@@ -126,6 +126,18 @@ class TestUsage:
         assert exc.value.code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,copies", [
+        (["op", "contract", "--edge", "9", "0"], 1),
+        (["op", "two-sum", "--edge", "9", "0"], 2),
+        (["op", "vertex-split", "--vertex", "9", "--hinge", "1", "2"], 1),
+        (["family", "complete-bipartite", "--parts", "-1", "2"], 0),
+    ])
+    def test_out_of_range_argument_exits_3(self, capsys, monkeypatch, argv, copies):
+        # K_5 has no vertex 9, and no graph has a part of -1 vertices
+        monkeypatch.setattr("sys.stdin", io.StringIO("D~{\n" * copies))
+        assert main(argv) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
         # K_22 is dependent at d=3, and its whole vertex set is its 4-core
         monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(22).to_graph6() + "\n"))

@@ -251,7 +251,8 @@ def _sha1(stream) -> str:
 
 def stream_codes(stream):
     """The canonical codes of a stream, checking that each graph is emitted
-    in its canonical form and that no class repeats."""
+    in its canonical form and that no class repeats. The classifier matches
+    the stream's graph6 against canonical codes, so it relies on the first."""
     codes = []
     for g in stream:
         code = canonical_code(g)
@@ -281,7 +282,7 @@ class TestOEISCounts:
 class TestCanonicalOutput:
     @pytest.mark.parametrize("spec", [
         SearchSpec(n=9, degree_min=2, degree_max=3),  # direct branch
-        SearchSpec(n=8, degree_min=4, d_sparse_filter=3),  # complement branch
+        SearchSpec(n=8, degree_min=4, d_sparse_filter=3),  # d=3 window, complement branch
         SearchSpec(n=7, degree_min=3, degree_max=6),  # complement branch
     ])
     def test_emitted_graphs_are_canonical_and_distinct(self, spec):

@@ -3,7 +3,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rigikit import (
@@ -21,6 +21,7 @@ from rigikit import (
     is_k_connected,
 )
 from rigikit.constructions import build_glued_cliques
+from rigikit.graph import graph6_pack, graph6_unpack
 
 from conftest import graphs
 
@@ -49,6 +50,18 @@ class TestBasics:
             Graph(3, ((0, 0),))
         with pytest.raises(ValueError):
             Graph(2, ((0, 2),))
+
+    def test_vertex_labels_out_of_range_rejected(self):
+        # a negative label must not wrap round to the last vertex
+        g = complete_graph(4).without_edge(0, 1)
+        for call in (lambda: g.neighbors(-1), lambda: g.has_edge(-1, 0),
+                     lambda: g.neighbors(4), lambda: g.has_edge(0, 4)):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                call()
+
+    def test_negative_part_size_rejected(self):
+        with pytest.raises(ValueError):
+            complete_bipartite(-1, 2)
 
     def test_edges_normalized(self):
         assert Graph(3, ((2, 0), (1, 0), (0, 1))).edges == ((0, 1), (0, 2))
@@ -267,6 +280,18 @@ class TestGraph6:
         ours = graph6_encode(g)
         theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
         assert ours == theirs
+
+    @given(graphs(max_n=12))
+    def test_decodes_networkx(self, g):
+        theirs = nx.to_graph6_bytes(to_nx(g), header=False).decode()
+        assert graph6_decode(theirs) == g
+
+    @given(graphs(max_n=12))
+    @example(Graph(0))
+    @example(Graph(1))
+    def test_pack_unpack_roundtrip(self, g):
+        nbrs = [g.neighbors(v) for v in range(g.n)]
+        assert graph6_unpack(g.n, graph6_pack(nbrs, range(g.n))) == g
 
     def test_header_stripped(self):
         g = complete_graph(4)
