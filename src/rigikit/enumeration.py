@@ -60,19 +60,22 @@ class SearchSpec:
         dmax = max(self.n - 1, 0) if self.degree_max is None else self.degree_max
         emax = math.comb(self.n, 2) if self.edge_max is None else self.edge_max
         emax = min(emax, math.comb(self.n, 2))
-        if self.d_sparse_filter is not None and self.n >= self.d_sparse_filter + 2:
+        if self.d_sparse_filter is not None:
             d = self.d_sparse_filter
-            emax = min(emax, d * self.n - math.comb(d + 1, 2))
+            if d < 1:
+                raise ValueError("dimension must be >= 1")
+            if self.n >= d + 2:
+                emax = min(emax, d * self.n - math.comb(d + 1, 2))
         object.__setattr__(self, "degree_max", dmax)
         object.__setattr__(self, "edge_max", emax)
         if not (0 <= self.degree_min <= dmax <= max(self.n - 1, 0)):
             raise ValueError(f"infeasible degree bounds [{self.degree_min}, {dmax}]")
         if self.degree_min == dmax and (self.n * dmax) % 2:
             raise ValueError(f"parity: no {dmax}-regular graph on {self.n} vertices")
+        if self.edge_min > emax or emax < 0:
+            raise ValueError(f"infeasible edge window [{self.edge_min}, {emax}]")
         if self.n * self.degree_min > 2 * emax:
             raise ValueError("infeasible: min degree exceeds the edge budget")
-        if self.edge_min > emax:
-            raise ValueError(f"infeasible edge window [{self.edge_min}, {emax}]")
 
 
 def enumerate_constrained(

@@ -3,8 +3,8 @@ certificate semantics, matroid predicates, and sparsity counts.
 
 Certificate semantics
 ---------------------
-The rank of the rigidity matrix at any specialization is a lower bound on the
-generic rank, so:
+The rank of the rigidity matrix at any specialization, over any prime
+field, is a lower bound on the generic rank, so:
 
 * independence (rank = |E|) claimed from one full-row-rank evaluation is a
   proof, as is rigidity claimed from an evaluation meeting the count bound
@@ -29,10 +29,23 @@ A verdict computes each structural fact of (graph, d) at most once: the
 count bound, the sparsity report (a search inside the (d+1)-core, see
 `is_d_sparse`) and the small vertex cut (max-flow vertex connectivity,
 `graph.is_k_connected`). Each random point is eliminated once.
+
+The first point's seed is evaluated first modulo the 15-bit prime 32749,
+where every intermediate of the elimination fits one CPython digit. A rank
+there that meets the count bound settles the verdict on that point alone,
+and every flag it settles is deterministic. Otherwise the point is dropped
+and the same seed starts the points at p (by default the 62-bit prime), so
+those points, and every Monte Carlo bound, are what they are without the
+first pass. `field_primes` names the prime of the points a verdict rests
+on.
+
 `is_circuit` asks for the left null space of a point, in the same
 elimination, only where it can use it: when |E| exceeds the count bound,
-after a point that fell short of |E|, or at a sole point. Independent
-graphs therefore cost one plain elimination.
+after a point at p that fell short of |E|, or at a sole point. Independent
+graphs therefore cost one plain elimination. Its per-edge fallback needs
+only whether each G-e is independent: a deletion that keeps a sparsity
+violator is dependent with no point evaluated and no cut searched, and
+only the d-sparse deletions are evaluated.
 """
 
 from __future__ import annotations
@@ -225,6 +238,8 @@ def is_d_sparse(g: Graph, d: int) -> SparsityReport:
       Larger cores are swept, 2^|C| subsets; one of more than 20 vertices
       raises ValueError.
     """
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
     adj = g.adj
     excess, tops = _core_maximizers(adj, _core(adj, d + 1), d)
     violator = None
@@ -370,33 +385,51 @@ class _Facts:
 # a trial point: the rank there, and a left null space basis when computed
 _Point = tuple[int, Optional[list[list[int]]]]
 
+# The largest prime below 2^15: every a + f*b of an elimination modulo it
+# stays below 2^30, one CPython digit. A rank at any prime bounds the
+# generic rank from below, so a point there that meets the count bound
+# certifies as well as one at the default prime does.
+_SMALL_PRIME = 32749
+
 
 def _evaluate(
-    g: Graph, d: int, trials: int, seed: int, p: int, ub: int, want_null: bool
-) -> tuple[list[_Point], random.Random]:
-    """Rank R(G,p) at up to `trials` random points, stopping once the count
-    bound `ub` is met. Returns the points and the generator that drew them,
-    positioned after the last draw.
+    facts: _Facts, trials: int, seed: int, p: int, want_null: bool
+) -> tuple[list[_Point], int, random.Random]:
+    """Rank R(G) at up to `trials` random points, stopping once the count
+    bound is met. Returns the points, the prime they were taken at, and the
+    generator that drew them, positioned after the last draw.
+
+    When p exceeds _SMALL_PRIME, the first point's seed is evaluated there
+    first. If that point meets the count bound, the verdict rests on it
+    alone. Otherwise it is dropped, and the points at p, from that same
+    seed on, are exactly those drawn without it.
 
     With `want_null`, a point is eliminated together with its left null
-    space when |E| > ub (R(G,p) then has dependent rows), when it is not the
-    first point (an earlier one fell short of ub <= |E|), or when `trials`
-    is 1.
+    space when |E| > ub (R(G) then has dependent rows), when it is not the
+    first point at p (an earlier one fell short of ub <= |E|), or when
+    `trials` is 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    m = g.m
+    g, d, ub = facts.g, facts.d, facts.ub
+    first_null = want_null and (g.m > ub or trials == 1)
+
+    def point(point_seed: int, prime: int, null: bool) -> _Point:
+        rows = _matrix_rows(g, d, point_seed, prime)
+        if null:
+            return rank_and_left_null_mod_p(rows, prime)
+        return rank_mod_p(rows, prime), None
+
     rng = random.Random(seed)
-    points: list[_Point] = []
-    for _ in range(trials):
-        rows = _matrix_rows(g, d, rng.getrandbits(63), p)
-        if want_null and (m > ub or points or trials == 1):
-            points.append(rank_and_left_null_mod_p(rows, p))
-        else:
-            points.append((rank_mod_p(rows, p), None))
-        if points[-1][0] >= ub:
-            break
-    return points, rng
+    first = rng.getrandbits(63)
+    if p > _SMALL_PRIME:
+        small = point(first, _SMALL_PRIME, first_null)
+        if small[0] >= ub:
+            return [small], _SMALL_PRIME, rng
+    points = [point(first, p, first_null)]
+    while points[-1][0] < ub and len(points) < trials:
+        points.append(point(rng.getrandbits(63), p, want_null))
+    return points, p, rng
 
 
 def generic_rank(
@@ -414,18 +447,20 @@ def generic_rank(
     (use is_circuit / is_flexible_circuit for those).
     """
     facts = _Facts(g, d)
-    points, _ = _evaluate(g, d, trials, seed, p, facts.ub, want_null=False)
-    return _assess(facts, points, p, threshold)
+    points, prime, _ = _evaluate(facts, trials, seed, p, want_null=False)
+    return _assess(facts, points, prime, threshold)
 
 
 def _assess(
-    facts: _Facts, points: list[_Point], p: int, threshold: float
+    facts: _Facts, points: list[_Point], prime: int, threshold: float
 ) -> MatroidVerdict:
+    """The verdict on points taken at `prime`. Points at _SMALL_PRIME meet
+    the count bound, so every flag they settle is deterministic."""
     g, d, ub = facts.g, facts.d, facts.ub
     m = g.m
     rank_lb = max(rank for rank, _ in points)
     used = len(points)
-    bound = sz_bound(ub, p, used)
+    bound = sz_bound(ub, prime, used)
 
     if rank_lb == m:
         cert = Certificate(CERT_INDEPENDENT)
@@ -469,7 +504,7 @@ def _assess(
         rank_lb=rank_lb,
         count_ub=ub,
         trials=used,
-        field_primes=(p,),
+        field_primes=(prime,),
         certificate=cert,
         independent=independent,
         rigid=rigid,
@@ -504,12 +539,15 @@ def is_circuit(
     point where R(G) has rank |E|-1 and the one-dimensional left null space
     has no zero entry, every single-row deletion is witnessed full-row-rank
     at that same point. The null spaces come from the rank evaluation's own
-    points. Remaining cases fall back to per-edge evaluations.
+    points. Remaining cases fall back to per-edge checks, each of which
+    needs only whether G-e is independent: a deletion that keeps a sparsity
+    violator is dependent without a point, and only the d-sparse ones are
+    evaluated.
     """
     m = g.m
     facts = _Facts(g, d)
-    points, rng = _evaluate(g, d, trials, seed, p, facts.ub, want_null=True)
-    verdict = _assess(facts, points, p, threshold)
+    points, prime, rng = _evaluate(facts, trials, seed, p, want_null=True)
+    verdict = _assess(facts, points, prime, threshold)
     if verdict.independent:
         return False, verdict
     if verdict.independent is None:
@@ -520,7 +558,7 @@ def is_circuit(
         # deterministic when a sparsity violation survives any one deletion
         if facts.sparsity.excess >= 2:
             return False, replace(verdict, circuit=False, flexible_circuit=False)
-        szb = sz_bound(verdict.count_ub, p, verdict.trials)
+        szb = sz_bound(verdict.count_ub, prime, verdict.trials)
         circuit = False if szb <= threshold else None
         flex = False if circuit is False else None
         return circuit, replace(verdict, circuit=circuit, flexible_circuit=flex)
@@ -536,17 +574,21 @@ def is_circuit(
             return True, circuit_verdict
     # fall back to explicit per-edge checks with fresh points
     for e in g.edges:
-        ge = g.without_edge(*e)
-        sub, subv = is_independent(ge, d, trials=trials, seed=rng.getrandbits(63),
-                                   p=p, threshold=threshold)
-        if sub is True:
-            continue
-        circuit = False if sub is False else None
+        sub_seed = rng.getrandbits(63)  # drawn for every deletion: later seeds stay put
+        sub = _Facts(g.without_edge(*e), d)
+        if sub.sparsity.sparse:
+            sub_points, sub_prime, _ = _evaluate(sub, trials, sub_seed, p, want_null=False)
+            subv = _assess(sub, sub_points, sub_prime, threshold)
+            if subv.independent:
+                continue
+            circuit = False if subv.independent is False else None
+            sub_bound = subv.certificate.failure_bound
+        else:
+            circuit, sub_bound = False, 0.0  # G-e keeps a sparsity violator
         cert = verdict.certificate
         if circuit is False and cert.kind == CERT_MONTE_CARLO:
             # the claim now also rests on the deletion's dependence
-            cert = replace(cert, failure_bound=cert.failure_bound
-                           + subv.certificate.failure_bound)
+            cert = replace(cert, failure_bound=cert.failure_bound + sub_bound)
         out = replace(verdict, circuit=circuit, certificate=cert,
                       flexible_circuit=False if circuit is False else None)
         return circuit, out

@@ -62,7 +62,7 @@ class VerificationReport:
     details: list[dict] = field(default_factory=list)
     wall_time_s: float = 0.0
     version: str = __version__
-    schema: int = 1
+    schema: int = 2
 
     def to_json(self) -> dict:
         return {

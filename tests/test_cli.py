@@ -138,6 +138,16 @@ class TestUsage:
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sparse", "0"], "dimension must be >= 1"),
+        (["--sparse", "-1"], "dimension must be >= 1"),
+        (["--edge-max", "-3"], "infeasible edge window"),
+    ])
+    def test_enumeration_window_rejected_with_its_cause(self, capsys, flags, message):
+        assert main(["enumerate", "--n", "5", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
         # K_22 is dependent at d=3, and its whole vertex set is its 4-core
         monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(22).to_graph6() + "\n"))

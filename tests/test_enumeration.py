@@ -183,6 +183,15 @@ class TestConstrained:
         with pytest.raises(ValueError):
             SearchSpec(n=6, edge_min=10, edge_max=5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"d_sparse_filter": 0}, "dimension must be >= 1"),
+        ({"d_sparse_filter": -1}, "dimension must be >= 1"),
+        ({"edge_max": -3}, "infeasible edge window"),
+    ])
+    def test_rejection_names_the_cause(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            SearchSpec(n=5, **kwargs)
+
     def test_empty_and_tiny(self):
         assert [g.n for g in enumerate_constrained(SearchSpec(n=0))] == [0]
         out = list(enumerate_constrained(SearchSpec(n=1)))

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 import sympy
@@ -26,12 +27,15 @@ from rigikit import (
 from rigikit.constructions import build_glued_cliques, enumerate_glued_cliques_plus
 from rigikit.linalg import DEFAULT_PRIME
 from rigikit.rigidity import (
+    _SMALL_PRIME,
     CERT_DEPENDENT_COUNT,
     CERT_DEPENDENT_CUT,
     CERT_INDEPENDENT,
     CERT_MONTE_CARLO,
     count_upper_bound,
 )
+
+Q, P = _SMALL_PRIME, DEFAULT_PRIME
 
 
 def B(d, t):
@@ -258,12 +262,15 @@ class TestWorkPerVerdict:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """(name, prime) per call; the prime is None for the facts."""
         import rigikit.rigidity as rigidity
 
         seen = []
         for name in ("is_d_sparse", "small_cut", "rank_mod_p", "rank_and_left_null_mod_p"):
             def counted(*args, _name=name, _fn=getattr(rigidity, name), **kwargs):
-                seen.append(_name)
+                # the oracle passes an elimination its prime as the second argument
+                prime = args[1] if _name.startswith("rank") else None
+                seen.append((_name, prime))
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(rigidity, name, counted)
         return seen
@@ -273,7 +280,8 @@ class TestWorkPerVerdict:
             calls.clear()
             flex, v = is_flexible_circuit(B(d, d - 1), d)
             assert flex is True and v.certificate.kind == CERT_DEPENDENT_CUT
-            assert calls.count("is_d_sparse") == 1 and calls.count("small_cut") == 1
+            assert calls.count(("is_d_sparse", None)) == 1
+            assert calls.count(("small_cut", None)) == 1
 
     @pytest.mark.parametrize("g", [B(4, 2), complete_bipartite(6, 6)],
                              ids=["B42", "K66"])
@@ -281,17 +289,33 @@ class TestWorkPerVerdict:
         # neither graph is d-tight, so no rule asks for a small cut
         flex, v = is_flexible_circuit(g, 4)
         assert flex is True and v.rank_lb == g.m - 1
-        assert calls.count("small_cut") == 0
+        assert calls.count(("small_cut", None)) == 0
 
-    @pytest.mark.parametrize("g, d, plain, with_null", [
-        (complete_graph(5).without_edge(0, 1), 3, 1, 0),
-        (complete_graph(5), 3, 0, 1),
-        (complete_bipartite(6, 6), 4, 1, 1),
+    @pytest.mark.parametrize("g, d, schedule", [
+        (complete_graph(5).without_edge(0, 1), 3, {("rank_mod_p", Q): 1}),
+        (complete_graph(5), 3, {("rank_and_left_null_mod_p", Q): 1}),
+        # rank 35 of 36 at every point: the small prime cannot settle it
+        (complete_bipartite(6, 6), 4, {("rank_mod_p", Q): 1, ("rank_mod_p", P): 1,
+                                       ("rank_and_left_null_mod_p", P): 1}),
     ], ids=["independent", "edges-above-count-bound", "edges-at-count-bound"])
-    def test_elimination_schedule(self, calls, g, d, plain, with_null):
+    def test_elimination_schedule(self, calls, g, d, schedule):
         is_flexible_circuit(g, d)
-        assert (calls.count("rank_mod_p"), calls.count("rank_and_left_null_mod_p")) \
-            == (plain, with_null)
+        assert Counter(c for c in calls if c[1] is not None) == schedule
+
+    def test_deletion_settled_by_sparsity(self, calls):
+        # K_5 on 1..5 and a vertex 0 of degree 3: the stress misses vertex 0's
+        # edges, so the per-edge fallback runs, and deleting (0, 3) leaves the
+        # K_5, a sparsity violator
+        g = Graph(6, tuple(itertools.combinations(range(1, 6), 2)) + ((0, 3), (0, 4), (0, 5)))
+        flex, v = is_flexible_circuit(g, 3)
+        assert [c for c in calls if c[1] is not None] == [("rank_and_left_null_mod_p", Q)]
+        assert calls.count(("small_cut", None)) == 0
+        assert flex is False and v.to_json() == {
+            "d": 3, "rank_lb": 12, "count_ub": 12, "trials": 1, "primes": [Q],
+            "certificate": {"kind": CERT_DEPENDENT_COUNT, "witness": [0, 1, 2, 3, 4, 5]},
+            "flags": {"independent": False, "rigid": True, "circuit": False,
+                      "flexible_circuit": False},
+        }
 
 
 class TestStressSupport:
@@ -336,6 +360,37 @@ class TestProperties:
             r = random_realization(g, d, s, field=None)
             rows = [list(row) for row in rigidity_matrix(g, r).rows]
             assert rank_rational(g, d, seed=s) == sympy.Matrix(rows).rank()
+
+    def test_small_prime_fallback_matches_default_prime(self, rng, monkeypatch):
+        # with the small prime at 5 most first points fall short there and the
+        # verdict falls back to the default prime; a run whose small prime is
+        # not below the default prime never takes the small-prime pass
+        import rigikit.rigidity as rigidity
+
+        suite = [(B(3, 2), 3), (B(4, 2), 4), (B(4, 3), 4), (complete_graph(5), 3),
+                 (complete_bipartite(6, 6), 4), (complete_bipartite(5, 5), 3),
+                 (Graph(6, tuple(itertools.combinations(range(5), 2)) + ((4, 5),)), 3)]
+        for _ in range(60):
+            n = rng.randrange(3, 10)
+            es = tuple(e for e in itertools.combinations(range(n), 2)
+                       if rng.random() < rng.choice((0.4, 0.7)))
+            suite.append((Graph(n, es), rng.randrange(1, 5)))
+        seeds = [rng.getrandbits(32) for _ in suite]
+
+        def verdicts(small_prime):
+            monkeypatch.setattr(rigidity, "_SMALL_PRIME", small_prime)
+            out = []
+            for (g, d), s in zip(suite, seeds):
+                out += [generic_rank(g, d, seed=s), is_circuit(g, d, seed=s)[1]]
+            return out
+
+        ref, got = verdicts(DEFAULT_PRIME), verdicts(5)
+        assert {v.field_primes for v in ref} == {(P,)}
+        assert {v.field_primes for v in got} == {(5,), (P,)}
+        for a, b in zip(got, ref):
+            assert a.flags() == b.flags() and a.rank_lb == b.rank_lb
+            assert a.certificate.kind == b.certificate.kind
+            assert a.certificate.failure_bound == b.certificate.failure_bound
 
     def test_cycle_matroid_d1(self, rng):
         for _ in range(30):

@@ -182,3 +182,8 @@ class TestLargeGraphs:
     def test_core_above_twenty_vertices_refused(self):
         with pytest.raises(ValueError):
             is_d_sparse(complete_graph(22), 3)
+
+    def test_dimension_below_one_refused(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="dimension must be >= 1"):
+                is_d_sparse(complete_graph(3), d)
