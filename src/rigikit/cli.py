@@ -2,13 +2,14 @@
 
 Subcommands: rank, check, family, op, enumerate, verify. Graph I/O is
 graph6, one graph per line, on stdin/stdout or files. Exit codes: 0 pass,
-1 fail, 2 unresolved, 3 usage error.
+1 fail, 2 unresolved, 3 usage error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from typing import Iterator, Optional
@@ -38,6 +39,7 @@ from .rigidity import (
 from .verify import CLAIMS, default_seed, run_all
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
+EXIT_SIGPIPE = 128 + 13  # stdout closed by its reader
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -154,7 +156,17 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     args = ap.parse_args(argv)
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading, which is no usage error: point stdout
+        # at devnull so the interpreter's last flush stays silent, and exit
+        # as a process killed by SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,13 +12,23 @@ kept only when its new edge lies in the automorphism orbit of its canonical
 edge; candidate edges are tried once per parent-automorphism orbit.
 
 The key is relabeling-invariant and cheap, so a child whose new edge does
-not reach the largest key is rejected before it is canonized. A child that
-does is canonized once, and its canonical code serves the acceptance test,
-the child's own automorphism pruning and the output graph. Streams therefore
-carry one canonically labeled representative per isomorphism class. Dense
-regimes (min degree above half the graph) generate complements instead,
-where the degree cap prunes far earlier; each emitted complement is
-canonized once more on the direct side.
+not reach the largest key is rejected before it is canonized. Most are
+rejected before they are built: adding an edge lowers no vertex invariant
+and no common-neighbour count, so every edge of a child keys at least as
+high as in the parent, and the child's largest key is at least the
+parent's. The new edge's key in the child follows from the parent alone, so
+a candidate whose key falls below the parent's largest key is dropped while
+the candidates are listed. That bound is isomorphism-invariant, so it drops
+whole orbits of candidates and leaves the stream as it was. No edge of an
+accepted child keys above its new edge, so that key is the child's largest
+and is passed down; no node scans its edges for it.
+
+A child that passes the key test is canonized once, and its canonical code
+serves the acceptance test, the child's own automorphism pruning and the
+output graph. Streams therefore carry one canonically labeled
+representative per isomorphism class. Dense regimes (min degree above half
+the graph) generate complements instead, where the degree cap prunes far
+earlier; each emitted complement is canonized once more on the direct side.
 
 Streams are resumable: DFS subtrees rooted at a fixed depth are dealt
 round-robin to `partition` shards, so shard outputs are disjoint and their
@@ -32,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .canon import canon_raw
-from .graph import Graph, complement, graph6_pairs, graph6_unpack, is_k_connected
+from .graph import Graph, complement, graph6_unpack, is_k_connected
 from .rigidity import is_d_sparse
 
 _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
@@ -103,8 +113,6 @@ def enumerate_constrained(
         lo, hi = spec.edge_min, spec.edge_max
 
     for adj, code in _grow(n, cap, floor, lo, hi, partition):
-        if any(a.bit_count() < floor for a in adj):
-            continue
         g = graph6_unpack(n, code)
         if use_complement:
             g = complement(g)
@@ -224,6 +232,47 @@ def _max_key_ties(adj: list[int], keys: list[int], u: int, v: int
     return ties
 
 
+def _candidates(adj: list[int], degs: list[int], keys: list[int],
+                top: tuple[int, int, int], cap: int, n: int
+                ) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """Each non-edge uv whose endpoints both have degree below cap and whose
+    `_edge_key` in G + uv is not below `top`, mapped to that key, in graph6
+    pair order.
+
+    The key comes from G alone: adding uv raises u's key by n*n + deg v + 1
+    and v's by n*n + deg u + 1, and leaves their common neighbours as they
+    are. A vertex x can end at or above top's low key only if
+    keys[x] + n*n + cap reaches it, so the pair loop runs over those
+    vertices only."""
+    nn = n * n
+    top_lo = top[0]
+    reach = 0
+    for x in range(n):
+        if degs[x] < cap and keys[x] + nn + cap >= top_lo:
+            reach |= 1 << x
+    out = {}
+    rest = reach
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        av = adj[v]
+        v_base = keys[v] + nn + 1  # v's key in G + uv, less deg u
+        u_gain = nn + degs[v] + 1
+        others = reach & (low - 1) & ~av
+        while others:
+            bit = others & -others
+            others ^= bit
+            u = bit.bit_length() - 1
+            ku = keys[u] + u_gain
+            kv = v_base + degs[u]
+            common = (adj[u] & av).bit_count()
+            key = (ku, kv, common) if ku <= kv else (kv, ku, common)
+            if key >= top:
+                out[(u, v)] = key
+    return out
+
+
 def _grow(
     n: int,
     cap: int,
@@ -235,15 +284,15 @@ def _grow(
     """Canonical-construction-path DFS over edge additions.
 
     Yields (adjacency bitmasks, canonical code) for every tree node whose
-    edge count lies in [edge_lo, edge_hi]; the caller applies final filters.
+    edge count lies in [edge_lo, edge_hi] and whose degrees are all at least
+    dmin; the caller applies final filters.
     """
     shard_i, shard_m = partition
     if cap <= 0 or edge_hi <= 0:
-        if edge_lo <= 0 and shard_i == 0:
+        if edge_lo <= 0 and dmin <= 0 and shard_i == 0:
             yield [0] * n, 0
         return
     shard_depth = min(_SHARD_DEPTH, edge_hi)
-    all_pairs = graph6_pairs(n)
 
     def pair_orbit(e: tuple[int, int], gens: list[tuple[int, ...]]) -> set[tuple[int, int]]:
         orbit = {e}
@@ -310,9 +359,10 @@ def _grow(
         root_gens = []
 
     def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
-            code: int, gens: list[tuple[int, ...]]) -> Iterator[tuple[list[int], int]]:
+            code: int, gens: list[tuple[int, ...]], top: tuple[int, int, int]
+            ) -> Iterator[tuple[list[int], int]]:
         nonlocal shard_counter
-        if m >= edge_lo and (m >= shard_depth or shard_i == 0):
+        if m >= edge_lo and deficit == 0 and (m >= shard_depth or shard_i == 0):
             yield adj, code
         if m == edge_hi:
             return
@@ -320,18 +370,12 @@ def _grow(
         if m + 1 + (free - 2) // 2 < edge_lo:
             return
         budget = edge_hi - m - 1
-        cand = []
-        for u, v in all_pairs:
-            if adj[u] >> v & 1:
-                continue
-            du, dv = degs[u], degs[v]
-            if du >= cap or dv >= cap:
-                continue
-            d_child = deficit - (du < dmin) - (dv < dmin)
-            if d_child > 2 * budget:
-                continue
-            cand.append((u, v))
-        for u, v in candidate_reps(cand, gens):
+        cand = _candidates(adj, degs, keys, top, cap, n)
+        if deficit > 2 * budget:
+            # the new edge must lift enough endpoints to the degree floor
+            cand = {e: k for e, k in cand.items()
+                    if deficit - (degs[e[0]] < dmin) - (degs[e[1]] < dmin) <= 2 * budget}
+        for u, v in candidate_reps(list(cand), gens):
             adj2 = adj[:]
             adj2[u] |= 1 << v
             adj2[v] |= 1 << u
@@ -350,6 +394,9 @@ def _grow(
             degs2[u] += 1
             degs2[v] += 1
             d2 = deficit - (degs[u] < dmin) - (degs[v] < dmin)
-            yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens)
+            # no edge of the child beats its new edge, so that key is its top
+            yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens, cand[(u, v)])
 
-    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0, root_gens)
+    # every edge key is above (-1, -1, -1)
+    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0, root_gens,
+                   (-1, -1, -1))

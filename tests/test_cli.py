@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rigikit
 from rigikit import Graph, complete_graph, canonical_code
 from rigikit.cli import main
 from rigikit.constructions import build_glued_cliques
@@ -202,6 +207,25 @@ class TestEnumerate:
     def test_infeasible_is_usage_error(self, capsys):
         code, _ = run(capsys, ["enumerate", "--n", "5", "--regular", "3"])
         assert code == 3
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_141_silently(self, unbuffered):
+        # the console script's entry point in a child whose stdout pipe has
+        # no reader left, so its first write fails, whether each print
+        # writes or only the final flush does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(rigikit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys; from rigikit.cli import main; sys.exit(main())"
+        try:
+            proc = subprocess.run([sys.executable, "-c", script, "enumerate", "--n", "6"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestVerifyCommand:

@@ -18,7 +18,13 @@ from rigikit import (
 )
 from rigikit.canon import canon_raw
 from rigikit.constructions import build_glued_cliques
-from rigikit.enumeration import _child_keys, _edge_key, _max_key_ties, _vertex_keys
+from rigikit.enumeration import (
+    _candidates,
+    _child_keys,
+    _edge_key,
+    _max_key_ties,
+    _vertex_keys,
+)
 
 # OEIS A000088: graphs on n = 0..8 vertices
 ALL_GRAPHS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -312,6 +318,24 @@ class TestCanonicalOutput:
         assert len(out) == 525
         assert calls <= 5400
 
+    def test_key_check_budget(self, monkeypatch):
+        # the parent's top edge key rejects most children before they are
+        # built; canonization is untouched by it
+        calls = {"ties": 0, "canon": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr("rigikit.enumeration._max_key_ties",
+                            counting("ties", _max_key_ties))
+        monkeypatch.setattr("rigikit.enumeration.canon_raw", counting("canon", canon_raw))
+        out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
+        assert len(out) == 525
+        assert calls["ties"] <= 9300
+        assert calls["canon"] == 4467
 
     def test_output_is_pinned(self):
         # sha1 of the sorted graph6 stream: the canonical form must not drift
@@ -354,3 +378,29 @@ class TestEdgeKey:
                 assert ties is None
             else:
                 assert sorted(ties) == sorted(e for e, k in edge_keys.items() if k == top)
+
+    @given(graphs(min_n=2))
+    def test_parent_top_bounds_every_child(self, g):
+        # adding an edge lowers no key, so a new edge whose key is below the
+        # parent's largest edge key never passes the exact check
+        adj, degs, n = list(g.adj), list(g.degrees), g.n
+        keys = _vertex_keys(adj, n)
+        top = max((_edge_key(adj, keys, *e) for e in g.edges), default=(-1, -1, -1))
+        # a degree cap of n-1 admits every non-edge
+        every = _candidates(adj, degs, keys, (-1, -1, -1), n - 1, n)
+        non_edges = [e for e in itertools.combinations(range(n), 2) if not g.has_edge(*e)]
+        assert list(every) == sorted(non_edges, key=lambda e: (e[1], e[0]))
+        bounded = _candidates(adj, degs, keys, top, n - 1, n)
+        for (u, v), key in every.items():
+            child = g.with_edge(u, v)
+            ckeys = _vertex_keys(list(child.adj), n)
+            assert key == _edge_key(child.adj, ckeys, u, v)
+            ties = _max_key_ties(list(child.adj), ckeys, u, v)
+            if key < top:
+                assert ties is None
+                assert (u, v) not in bounded
+            else:
+                assert bounded[(u, v)] == key
+            if ties is not None:
+                # the key passed down is the child's top
+                assert key == max(_edge_key(child.adj, ckeys, *e) for e in child.edges)
