@@ -9,7 +9,9 @@ pair of its endpoints' invariants followed by their number of common
 neighbours. The canonical edge is, among the edges of largest key, the one
 whose endpoints' canonical positions come last in graph6 order. A child is
 kept only when its new edge lies in the automorphism orbit of its canonical
-edge; candidate edges are tried once per parent-automorphism orbit.
+edge; candidate edges are tried once per parent-automorphism orbit. One
+BFS over pairs computes edge orbits for both: it picks each orbit's first
+candidate and runs the canonicity test.
 
 The key is relabeling-invariant and cheap, so a child whose new edge does
 not reach the largest key is rejected before it is canonized. Most are
@@ -96,11 +98,6 @@ def enumerate_constrained(
     if not (0 <= shard_i < shard_m):
         raise ValueError("partition must be (i, m) with 0 <= i < m")
     n = spec.n
-    if n == 0:
-        if spec.edge_min == 0 and shard_i == 0:
-            yield Graph(0)
-        return
-
     total = math.comb(n, 2)
     comp_cap = n - 1 - spec.degree_min
     use_complement = comp_cap < spec.degree_max
@@ -285,14 +282,11 @@ def _grow(
 
     Yields (adjacency bitmasks, canonical code) for every tree node whose
     edge count lies in [edge_lo, edge_hi] and whose degrees are all at least
-    dmin; the caller applies final filters.
+    dmin; the caller applies final filters. `pair_orbit` is the one orbit
+    routine: it picks candidate representatives and tests canonicity.
     """
     shard_i, shard_m = partition
-    if cap <= 0 or edge_hi <= 0:
-        if edge_lo <= 0 and dmin <= 0 and shard_i == 0:
-            yield [0] * n, 0
-        return
-    shard_depth = min(_SHARD_DEPTH, edge_hi)
+    shard_depth = max(min(_SHARD_DEPTH, edge_hi), 1)  # only shard 0 emits the root
 
     def pair_orbit(e: tuple[int, int], gens: list[tuple[int, ...]]) -> set[tuple[int, int]]:
         orbit = {e}
@@ -309,31 +303,17 @@ def _grow(
     def candidate_reps(
         cand: list[tuple[int, int]], gens: list[tuple[int, ...]]
     ) -> list[tuple[int, int]]:
-        if not gens or len(cand) < 2:
+        # cand is closed under the parent's automorphisms: each orbit's first
+        # candidate represents it, whatever generating set gens is
+        if not gens:
             return cand
-        idx = {e: i for i, e in enumerate(cand)}
-        parent = list(range(len(cand)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for s in gens:
-            for e, i in idx.items():
-                u, v = e
-                w = (s[u], s[v]) if s[u] < s[v] else (s[v], s[u])
-                j = idx.get(w)
-                if j is not None:
-                    ri, rj = find(i), find(j)
-                    # the root is the least index of its orbit, so the
-                    # representatives depend on the group, not on gens
-                    if ri < rj:
-                        parent[rj] = ri
-                    elif rj < ri:
-                        parent[ri] = rj
-        return [e for i, e in enumerate(cand) if find(i) == i]
+        reps = []
+        covered = set()
+        for e in cand:
+            if e not in covered:
+                reps.append(e)
+                covered |= pair_orbit(e, gens)
+        return reps
 
     def is_canonical(e: tuple[int, int], ties: list[tuple[int, int]],
                      perm: tuple[int, ...], gens: list[tuple[int, ...]]) -> bool:

@@ -202,6 +202,9 @@ class TestConstrained:
         assert [g.n for g in enumerate_constrained(SearchSpec(n=0))] == [0]
         out = list(enumerate_constrained(SearchSpec(n=1)))
         assert len(out) == 1 and out[0].n == 1
+        # K_0 and K_1 have at most k vertices, so neither is k-connected
+        for n, k in itertools.product((0, 1), (1, 2)):
+            assert list(enumerate_constrained(SearchSpec(n=n, connectivity_min=k))) == []
 
     def test_no_duplicates_across_stream(self):
         spec = SearchSpec(n=8, degree_min=3, degree_max=4)
@@ -214,15 +217,19 @@ class TestConstrained:
 
 class TestPartition:
     def test_shards_partition_the_stream(self):
-        spec = SearchSpec(n=8, degree_min=3, degree_max=3)
-        full = {canonical_code(g) for g in enumerate_constrained(spec)}
-        pieces = []
-        for i in range(3):
-            pieces.append({canonical_code(g)
-                           for g in enumerate_constrained(spec, partition=(i, 3))})
-        assert set().union(*pieces) == full
-        for a, b in itertools.combinations(range(3), 2):
-            assert not (pieces[a] & pieces[b])
+        for spec, classes in (
+            (SearchSpec(n=8, degree_min=3, degree_max=3), 6),
+            # a window with no edges is the root alone, which is shard 0's
+            (SearchSpec(n=4, edge_max=0), 1),
+            (SearchSpec(n=0), 1),
+        ):
+            full = {canonical_code(g) for g in enumerate_constrained(spec)}
+            pieces = [{canonical_code(g)
+                       for g in enumerate_constrained(spec, partition=(i, 3))}
+                      for i in range(3)]
+            assert len(full) == classes
+            assert set().union(*pieces) == full
+            assert sum(len(p) for p in pieces) == classes
 
     def test_shards_partition_regular(self):
         full = {canonical_code(g) for g in enumerate_regular(10, 3)}
@@ -302,21 +309,6 @@ class TestCanonicalOutput:
     ])
     def test_emitted_graphs_are_canonical_and_distinct(self, spec):
         assert stream_codes(enumerate_constrained(spec))
-
-    def test_canon_call_budget(self, monkeypatch):
-        # children are rejected by the edge key before canonizing, and an
-        # accepted node's code is reused for the output
-        calls = 0
-
-        def counting(*args, **kwargs):
-            nonlocal calls
-            calls += 1
-            return canon_raw(*args, **kwargs)
-
-        monkeypatch.setattr("rigikit.enumeration.canon_raw", counting)
-        out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
-        assert len(out) == 525
-        assert calls <= 5400
 
     def test_key_check_budget(self, monkeypatch):
         # the parent's top edge key rejects most children before they are
