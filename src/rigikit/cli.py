@@ -36,7 +36,7 @@ from .rigidity import (
     is_independent,
     is_rigid,
 )
-from .verify import CLAIMS, default_seed, run_all
+from .verify import CLAIMS, SHARDED, default_seed, run_all
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
 EXIT_SIGPIPE = 128 + 13  # stdout closed by its reader
@@ -150,7 +150,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_ver.add_argument("claim", choices=(*CLAIMS, "all"))
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--partition", type=_parse_partition, default=(0, 1),
-                       metavar="i/m")
+                       metavar="i/m",
+                       help=f"run shard i of m; only {', '.join(SHARDED)} split")
     p_ver.add_argument("--format", choices=("json", "text"), default="json")
     p_ver.add_argument("--out", default=None, help="write the JSON report here")
 
@@ -288,8 +289,11 @@ def _op(args) -> int:
 
 
 def _verify(args) -> int:
+    if args.partition != (0, 1) and args.claim not in SHARDED:
+        raise ValueError(f"--partition splits only {', '.join(SHARDED)}; "
+                         f"{args.claim} runs whole")
     if args.claim == "all":
-        reports = run_all(seed=args.seed, d3_partition=args.partition)
+        reports = run_all(seed=args.seed)
     else:
         reports = [CLAIMS[args.claim](args.seed, args.partition)]
 

@@ -173,9 +173,6 @@ def cone(g: GraphLike) -> Graph:
 def two_sum(g1: GraphLike, g2: GraphLike, u: int, v: int) -> LabeledConstruction:
     """Glue along the shared edge uv (same labels in both inputs) and delete
     it. The second summand's other vertices are relabeled past the first's."""
-    a, b = _graph_of(g1), _graph_of(g2)
-    if not (a.has_edge(u, v) and b.has_edge(u, v)):
-        raise ValueError(f"({u},{v}) must be an edge of both summands")
     return t_sum(g1, g2, (u, v), (u, v))
 
 

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .canon import canon_raw
+from .canon import _twin_transpositions, canon_raw
 from .graph import Graph, complement, graph6_unpack, is_k_connected
 from .rigidity import is_d_sparse
 
@@ -113,18 +113,14 @@ def enumerate_constrained(
         g = graph6_unpack(n, code)
         if use_complement:
             g = complement(g)
-            if _passes_final(g, spec):
-                yield graph6_unpack(n, canon_raw(g.adj, n)[0])
-        elif _passes_final(g, spec):
-            yield g
+        if _passes_final(g, spec):
+            yield graph6_unpack(n, canon_raw(g.adj, n)[0]) if use_complement else g
 
 
 def enumerate_regular(
     n: int, k: int, partition: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
     """All k-regular graphs on n vertices up to isomorphism."""
-    if not (0 <= k < max(n, 1)):
-        raise ValueError(f"need 0 <= k < n, got k={k}, n={n}")
     spec = SearchSpec(n=n, degree_min=k, degree_max=k,
                       edge_min=n * k // 2, edge_max=n * k // 2)
     return enumerate_constrained(spec, partition)
@@ -140,33 +136,10 @@ def _passes_final(g: Graph, spec: SearchSpec) -> bool:
     return True
 
 
-def _vertex_keys(adj: list[int], n: int) -> list[int]:
-    """Each vertex's (degree, sum of neighbour degrees), packed into one int
-    that orders like the pair (the sum is below n*n)."""
-    degs = [a.bit_count() for a in adj]
-    keys = []
-    for w in range(n):
-        s = 0
-        rest = adj[w]
-        while rest:
-            low = rest & -rest
-            s += degs[low.bit_length() - 1]
-            rest ^= low
-        keys.append(degs[w] * n * n + s)
-    return keys
-
-
-def _edge_key(adj: list[int], keys: list[int], a: int, b: int) -> tuple[int, int, int]:
-    """The sorted endpoint keys of edge ab, then its common-neighbour count."""
-    ka, kb = keys[a], keys[b]
-    common = (adj[a] & adj[b]).bit_count()
-    return (ka, kb, common) if ka <= kb else (kb, ka, common)
-
-
 def _child_keys(keys: list[int], adj: list[int], degs: list[int],
                 u: int, v: int, n: int) -> list[int]:
-    """`_vertex_keys` after adding edge uv, from the parent's keys, adjacency
-    and degrees: only u, v and their neighbours change."""
+    """Each vertex's degree * n*n + sum of neighbour degrees after adding uv,
+    from the parent's keys: only u, v and their neighbours change."""
     out = keys[:]
     out[u] += n * n + degs[v] + 1
     out[v] += n * n + degs[u] + 1
@@ -180,8 +153,8 @@ def _child_keys(keys: list[int], adj: list[int], degs: list[int],
 
 def _max_key_ties(adj: list[int], keys: list[int], u: int, v: int
                   ) -> Optional[list[tuple[int, int]]]:
-    """None if some edge has a larger `_edge_key` than edge uv; otherwise
-    every edge whose key equals uv's, uv included, as (min, max) pairs."""
+    """None if some edge keys above edge uv; otherwise every edge whose key
+    equals uv's, uv included, as (min, max) pairs."""
     ku, kv = keys[u], keys[v]
     lo, hi = (ku, kv) if ku <= kv else (kv, ku)
     above_lo = above_hi = at_lo = at_hi = 0
@@ -233,7 +206,7 @@ def _candidates(adj: list[int], degs: list[int], keys: list[int],
                 top: tuple[int, int, int], cap: int, n: int
                 ) -> dict[tuple[int, int], tuple[int, int, int]]:
     """Each non-edge uv whose endpoints both have degree below cap and whose
-    `_edge_key` in G + uv is not below `top`, mapped to that key, in graph6
+    edge key in G + uv is not below `top`, mapped to that key, in graph6
     pair order.
 
     The key comes from G alone: adding uv raises u's key by n*n + deg v + 1
@@ -283,7 +256,9 @@ def _grow(
     Yields (adjacency bitmasks, canonical code) for every tree node whose
     edge count lies in [edge_lo, edge_hi] and whose degrees are all at least
     dmin; the caller applies final filters. `pair_orbit` is the one orbit
-    routine: it picks candidate representatives and tests canonicity.
+    routine: it picks candidate representatives and tests canonicity. In the
+    edgeless root every two vertices are twins, so the twin transpositions
+    that canonization finds generate its automorphism group.
     """
     shard_i, shard_m = partition
     shard_depth = max(min(_SHARD_DEPTH, edge_hi), 1)  # only shard 0 emits the root
@@ -330,14 +305,6 @@ def _grow(
 
     shard_counter = 0
 
-    # generators of the full symmetric group serve the (edgeless) root
-    if n >= 2:
-        rot = tuple(range(1, n)) + (0,)
-        swap = (1, 0) + tuple(range(2, n))
-        root_gens = [rot, swap] if n > 2 else [swap]
-    else:
-        root_gens = []
-
     def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
             code: int, gens: list[tuple[int, ...]], top: tuple[int, int, int]
             ) -> Iterator[tuple[list[int], int]]:
@@ -378,5 +345,5 @@ def _grow(
             yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens, cand[(u, v)])
 
     # every edge key is above (-1, -1, -1)
-    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0, root_gens,
-                   (-1, -1, -1))
+    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0,
+                   _twin_transpositions([0] * n, n), (-1, -1, -1))

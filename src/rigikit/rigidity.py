@@ -342,8 +342,6 @@ def _closure(adj: tuple[int, ...], x: int, d: int) -> int:
 def small_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
     """A vertex cut of size <= d-1, or None. An empty frozenset means the
     graph is disconnected."""
-    if g.n < 2:
-        return None
     ok, witness = is_k_connected(g, d)
     return witness if not ok else None
 

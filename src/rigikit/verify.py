@@ -736,17 +736,21 @@ CLAIMS: dict[str, Callable[[Optional[int], tuple[int, int]], VerificationReport]
 }
 
 
-def run_all(
-    seed: Optional[int] = None, d3_partition: tuple[int, int] = (0, 1)
-) -> list[VerificationReport]:
-    """Run every claim; the classification output feeds the edge bound."""
+# the claims whose runners split their work by the partition; the rest
+# run whole
+SHARDED = ("regular-independence-i", "regular-independence-ii",
+           "classify-d3", "classify-d4")
+
+
+def run_all(seed: Optional[int] = None) -> list[VerificationReport]:
+    """Run every claim whole; the classification output feeds the edge bound."""
     seed = default_seed() if seed is None else seed
     reports = [
         verify_regular_independence(1, seed=seed),
         verify_regular_independence(2, seed=seed),
         verify_families(5, seed=seed),
     ]
-    cls_report, found = classify_flexible_circuits(3, 9, seed=seed, partition=d3_partition)
+    cls_report, found = classify_flexible_circuits(3, 9, seed=seed)
     reports.append(cls_report)
     reports.append(verify_edge_bound(8, seed=seed, classification=found))
     reports.append(verify_structure_suites(seed=seed))

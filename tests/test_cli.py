@@ -11,7 +11,7 @@ import rigikit
 from rigikit import Graph, complete_graph, canonical_code
 from rigikit.cli import main
 from rigikit.constructions import build_glued_cliques
-from rigikit.verify import CLAIMS
+from rigikit.verify import CLAIMS, SHARDED
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -142,6 +142,24 @@ class TestUsage:
         monkeypatch.setattr("sys.stdin", io.StringIO("D~{\n" * copies))
         assert main(argv) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("claim, shard", [
+        ("flexible-families", "1/2"),
+        ("edge-bound", "1/4"),
+        ("structure-suites", "0/2"),
+        ("all", "0/2"),
+    ])
+    def test_whole_claim_refuses_a_partition(self, capsys, claim, shard):
+        # refused before the claim runs: nothing reaches stdout
+        assert main(["verify", claim, "--partition", shard]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert all(name in err for name in SHARDED)
+
+    def test_sharded_claim_takes_a_partition(self, capsys):
+        code, out = run(capsys, ["verify", "classify-d3", "--partition", "0/4"])
+        assert code == 0
+        assert json.loads(out)["details"][-1]["name"] == "within-constructed-families"
 
     @pytest.mark.parametrize("flags, message", [
         (["--sparse", "0"], "dimension must be >= 1"),

@@ -178,8 +178,17 @@ class TestSums:
         assert c.graph.m == 10 + 15 - 2
 
     def test_missing_shared_edge_rejected(self):
-        with pytest.raises(ValueError):
-            two_sum(complete_graph(5).without_edge(0, 1), complete_graph(5), 0, 1)
+        k4, k5 = complete_graph(4), complete_graph(5)
+        for first, second, u, v in [
+            (k5.without_edge(0, 1), k5, 0, 1),
+            (k5, k5.without_edge(0, 1), 0, 1),  # only the second lacks the edge
+            (k5, k5, 2, 2),                     # a vertex with itself is no edge
+            (k5, k5, 0, 5),                     # label 5 is in neither summand
+            (k5, k4, 0, 4),                     # label 4 is not in the second
+            (k4, k5, 0, 4),                     # nor here in the first
+        ]:
+            with pytest.raises(ValueError):
+                two_sum(first, second, u, v)
 
     def test_t2_sum_equals_two_sum(self):
         a = t_sum(complete_graph(5), complete_graph(5), (3, 4), (3, 4))

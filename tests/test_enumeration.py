@@ -18,13 +18,7 @@ from rigikit import (
 )
 from rigikit.canon import canon_raw
 from rigikit.constructions import build_glued_cliques
-from rigikit.enumeration import (
-    _candidates,
-    _child_keys,
-    _edge_key,
-    _max_key_ties,
-    _vertex_keys,
-)
+from rigikit.enumeration import _candidates, _child_keys, _max_key_ties
 
 # OEIS A000088: graphs on n = 0..8 vertices
 ALL_GRAPHS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -93,8 +87,10 @@ class TestRegular:
             list(enumerate_regular(5, 3))
 
     def test_degree_out_of_range(self):
-        with pytest.raises(ValueError):
-            list(enumerate_regular(4, 4))
+        # rejected at the call, before the stream is iterated
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="degree bounds"):
+                enumerate_regular(4, k)
 
     def test_outputs_are_regular_and_distinct(self):
         seen = set()
@@ -341,6 +337,21 @@ class TestCanonicalOutput:
         # sha1 of the same stream in emission order: the order must not drift
         spec = SearchSpec(n=10, degree_min=2, degree_max=3)
         assert _sha1(enumerate_constrained(spec)) == "4687f10547ffdd151be65ebe4b1eadf551b6c1c9"
+
+
+def _vertex_keys(adj, n):
+    """Each vertex's (degree, sum of neighbour degrees), packed into one int
+    that orders like the pair (the sum is below n*n): the key definition
+    the generator's incremental keys are checked against."""
+    degs = [a.bit_count() for a in adj]
+    return [degs[w] * n * n + sum(degs[x] for x in range(n) if adj[w] >> x & 1)
+            for w in range(n)]
+
+
+def _edge_key(adj, keys, a, b):
+    """The sorted endpoint keys of edge ab, then its common-neighbour count."""
+    ka, kb = sorted((keys[a], keys[b]))
+    return (ka, kb, (adj[a] & adj[b]).bit_count())
 
 
 class TestEdgeKey:

@@ -233,6 +233,11 @@ class TestCuts:
         assert dependent_by_cut(B(4, 2), 4) is None
         assert small_cut(B(4, 2), 4) is not None  # flexibility cut still exists
 
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_too_small_graph_has_no_cut(self, n, d):
+        assert small_cut(Graph(n), d) is None
+
 
 class TestCircuitFallbacks:
     def test_circuit_plus_pendant_is_not_circuit(self):
