@@ -25,12 +25,18 @@ whole orbits of candidates and leaves the stream as it was. No edge of an
 accepted child keys above its new edge, so that key is the child's largest
 and is passed down; no node scans its edges for it.
 
-A child that passes the key test is canonized once, and its canonical code
-serves the acceptance test, the child's own automorphism pruning and the
-output graph. Streams therefore carry one canonically labeled
-representative per isomorphism class. Dense regimes (min degree above half
-the graph) generate complements instead, where the degree cap prunes far
-earlier; each emitted complement is canonized once more on the direct side.
+A child that passes the key test is canonized at most once, and its
+canonical code serves the acceptance test, the child's own automorphism
+pruning and the output graph. Streams therefore carry one canonically
+labeled representative per isomorphism class. A child that would not be
+emitted is expanded first: when the edge count, the degree floor and the key
+bound leave it no candidate edge, nothing can come from it, whether it is
+accepted or not, and it is dropped uncanonized. The exception is a child at
+the shard hand-off depth, which is canonized and tested all the same,
+because shards are dealt by counting the accepted nodes there. Dense regimes
+(min degree above half the graph) generate complements instead, where the
+degree cap prunes far earlier; each emitted complement is canonized once
+more on the direct side.
 
 Streams are resumable: DFS subtrees rooted at a fixed depth are dealt
 round-robin to `partition` shards, so shard outputs are disjoint and their
@@ -84,7 +90,7 @@ class SearchSpec:
             raise ValueError(f"infeasible degree bounds [{self.degree_min}, {dmax}]")
         if self.degree_min == dmax and (self.n * dmax) % 2:
             raise ValueError(f"parity: no {dmax}-regular graph on {self.n} vertices")
-        if self.edge_min > emax or emax < 0:
+        if not (0 <= self.edge_min <= emax):
             raise ValueError(f"infeasible edge window [{self.edge_min}, {emax}]")
         if self.n * self.degree_min > 2 * emax:
             raise ValueError("infeasible: min degree exceeds the edge budget")
@@ -259,6 +265,11 @@ def _grow(
     routine: it picks candidate representatives and tests canonicity. In the
     edgeless root every two vertices are twins, so the twin transpositions
     that canonization finds generate its automorphism group.
+
+    A node that emits is canonized, yielded and then expanded. Any other
+    child is expanded by its parent before `canon_raw`: a dead end (no
+    candidate edge) is dropped there unless it sits at the shard depth, and
+    a live child takes its candidates down with it.
     """
     shard_i, shard_m = partition
     shard_depth = max(min(_SHARD_DEPTH, edge_hi), 1)  # only shard 0 emits the root
@@ -305,23 +316,35 @@ def _grow(
 
     shard_counter = 0
 
-    def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
-            code: int, gens: list[tuple[int, ...]], top: tuple[int, int, int]
-            ) -> Iterator[tuple[list[int], int]]:
-        nonlocal shard_counter
-        if m >= edge_lo and deficit == 0 and (m >= shard_depth or shard_i == 0):
-            yield adj, code
+    def emits(m: int, deficit: int) -> bool:
+        return m >= edge_lo and deficit == 0 and (m >= shard_depth or shard_i == 0)
+
+    def expand(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
+               top: tuple[int, int, int]) -> dict[tuple[int, int], tuple[int, int, int]]:
+        """The node's candidate edges, mapped to their keys in the child; empty
+        when the edge count, the degree floor or the key bound leaves no child."""
         if m == edge_hi:
-            return
+            return {}
         free = sum(cap - dv for dv in degs)
         if m + 1 + (free - 2) // 2 < edge_lo:
-            return
+            return {}
         budget = edge_hi - m - 1
         cand = _candidates(adj, degs, keys, top, cap, n)
         if deficit > 2 * budget:
             # the new edge must lift enough endpoints to the degree floor
             cand = {e: k for e, k in cand.items()
                     if deficit - (degs[e[0]] < dmin) - (degs[e[1]] < dmin) <= 2 * budget}
+        return cand
+
+    def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
+            code: int, gens: list[tuple[int, ...]], top: tuple[int, int, int],
+            cand: Optional[dict[tuple[int, int], tuple[int, int, int]]]
+            ) -> Iterator[tuple[list[int], int]]:
+        # cand is None for an emitting node, which expands once it is yielded
+        nonlocal shard_counter
+        if cand is None:
+            yield adj, code
+            cand = expand(adj, degs, keys, m, deficit, top)
         for u, v in candidate_reps(list(cand), gens):
             adj2 = adj[:]
             adj2[u] |= 1 << v
@@ -330,6 +353,19 @@ def _grow(
             ties = _max_key_ties(adj2, keys2, u, v)
             if ties is None:
                 continue
+            degs2 = degs[:]
+            degs2[u] += 1
+            degs2[v] += 1
+            d2 = deficit - (degs[u] < dmin) - (degs[v] < dmin)
+            # no edge of the child beats its new edge, so that key is its top
+            top2 = cand[(u, v)]
+            cand2 = None
+            if not emits(m + 1, d2):
+                cand2 = expand(adj2, degs2, keys2, m + 1, d2, top2)
+                # a dead end yields nothing, canonical or not; the shard
+                # depth still counts every accepted node
+                if not cand2 and m + 1 != shard_depth:
+                    continue
             code2, perm, cgens = canon_raw(adj2, n)
             if len(ties) > 1 and not is_canonical((u, v), ties, perm, cgens):
                 continue
@@ -337,13 +373,10 @@ def _grow(
                 shard_counter += 1
                 if (shard_counter - 1) % shard_m != shard_i:
                     continue
-            degs2 = degs[:]
-            degs2[u] += 1
-            degs2[v] += 1
-            d2 = deficit - (degs[u] < dmin) - (degs[v] < dmin)
-            # no edge of the child beats its new edge, so that key is its top
-            yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens, cand[(u, v)])
+            yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens, top2, cand2)
 
-    # every edge key is above (-1, -1, -1)
-    yield from dfs([0] * n, [0] * n, [0] * n, 0, n * max(dmin, 0), 0,
-                   _twin_transpositions([0] * n, n), (-1, -1, -1))
+    root = [0] * n  # the edgeless graph's adjacency, degrees and keys; never mutated
+    deficit = n * max(dmin, 0)
+    top = (-1, -1, -1)  # every edge key is above it
+    cand = None if emits(0, deficit) else expand(root, root, root, 0, deficit, top)
+    yield from dfs(root, root, root, 0, deficit, 0, _twin_transpositions(root, n), top, cand)

@@ -165,6 +165,7 @@ class TestUsage:
         (["--sparse", "0"], "dimension must be >= 1"),
         (["--sparse", "-1"], "dimension must be >= 1"),
         (["--edge-max", "-3"], "infeasible edge window"),
+        (["--edge-min", "-1"], "infeasible edge window"),
     ])
     def test_enumeration_window_rejected_with_its_cause(self, capsys, flags, message):
         assert main(["enumerate", "--n", "5", *flags]) == 3

@@ -189,6 +189,7 @@ class TestConstrained:
         ({"d_sparse_filter": 0}, "dimension must be >= 1"),
         ({"d_sparse_filter": -1}, "dimension must be >= 1"),
         ({"edge_max": -3}, "infeasible edge window"),
+        ({"edge_min": -1}, "infeasible edge window"),
     ])
     def test_rejection_names_the_cause(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -263,6 +264,21 @@ class TestPartition:
         assert [_sha1(enumerate_regular(6, 3, partition=(i, 3))) for i in range(3)] == shards
 
 
+def _count_calls(monkeypatch) -> dict[str, int]:
+    """Counts the generator's `_max_key_ties` and `canon_raw` calls from now on."""
+    calls = {"ties": 0, "canon": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr("rigikit.enumeration._max_key_ties", counting("ties", _max_key_ties))
+    monkeypatch.setattr("rigikit.enumeration.canon_raw", counting("canon", canon_raw))
+    return calls
+
+
 def _sha1(stream) -> str:
     return hashlib.sha1("\n".join(g.to_graph6() for g in stream).encode("ascii")).hexdigest()
 
@@ -308,22 +324,29 @@ class TestCanonicalOutput:
 
     def test_key_check_budget(self, monkeypatch):
         # the parent's top edge key rejects most children before they are
-        # built; canonization is untouched by it
-        calls = {"ties": 0, "canon": 0}
-
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr("rigikit.enumeration._max_key_ties",
-                            counting("ties", _max_key_ties))
-        monkeypatch.setattr("rigikit.enumeration.canon_raw", counting("canon", canon_raw))
+        # built; a child that neither emits nor has a candidate edge left is
+        # dropped before it is canonized
+        calls = _count_calls(monkeypatch)
         out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
         assert len(out) == 525
         assert calls["ties"] <= 9300
-        assert calls["canon"] == 4467
+        assert calls["canon"] == 3238
+
+    def test_complement_branch_work_and_shards_are_pinned(self, monkeypatch):
+        # the branch the classification windows take: dead ends skip
+        # canonization, but every accepted node at the shard depth is still
+        # canonized and counted, so the shards stay as they were. The canon
+        # count includes each class's re-canonization on the direct side
+        spec = SearchSpec(n=8, degree_min=4, edge_min=16, d_sparse_filter=3)
+        calls = _count_calls(monkeypatch)
+        assert len(list(enumerate_constrained(spec))) == 94
+        assert calls == {"ties": 885, "canon": 469}
+        # sha1 of each shard's graph6 lines, in stream order
+        got = [_sha1(enumerate_constrained(spec, partition=(i, 4))) for i in range(4)]
+        assert got == ["da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
+                       "c1d060b5739f885f26068e3b622aa7e2ba7757e0",
+                       "ff539d47883bf6bbcebe2e2c90426c69ccf01ce1",
+                       "90e787147ac351b170d665663eb0dfad5364b71b"]
 
     def test_output_is_pinned(self):
         # sha1 of the sorted graph6 stream: the canonical form must not drift
