@@ -25,7 +25,7 @@ from .constructions import (
     vertex_split,
     zero_extension,
 )
-from .enumeration import SearchSpec, enumerate_constrained, enumerate_regular
+from .enumeration import SearchSpec, enumerate_constrained
 from .graph import Graph, complement, complete_bipartite, complete_graph, contract_edge
 from .rigidity import (
     DEFAULT_TRIALS,
@@ -136,10 +136,11 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_enum = sub.add_parser("enumerate", help="stream graph6 classes under constraints")
     p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--regular", type=int, default=None)
-    p_enum.add_argument("--degree-min", type=int, default=0)
+    p_enum.add_argument("--regular", type=int, default=None, metavar="k",
+                        help="shorthand for the k-regular window; combines with the filters")
+    p_enum.add_argument("--degree-min", type=int, default=None)
     p_enum.add_argument("--degree-max", type=int, default=None)
-    p_enum.add_argument("--edge-min", type=int, default=0)
+    p_enum.add_argument("--edge-min", type=int, default=None)
     p_enum.add_argument("--edge-max", type=int, default=None)
     p_enum.add_argument("--sparse", type=int, default=None, help="d-sparsity filter")
     p_enum.add_argument("--connectivity", type=int, default=None)
@@ -207,14 +208,15 @@ def _dispatch(args) -> int:
 
     if args.cmd == "enumerate":
         if args.regular is not None:
-            stream = enumerate_regular(args.n, args.regular, partition=args.partition)
-        else:
-            spec = SearchSpec(n=args.n, degree_min=args.degree_min,
-                              degree_max=args.degree_max, edge_min=args.edge_min,
-                              edge_max=args.edge_max, d_sparse_filter=args.sparse,
-                              connectivity_min=args.connectivity)
-            stream = enumerate_constrained(spec, partition=args.partition)
-        for g in stream:
+            if {args.degree_min, args.degree_max, args.edge_min, args.edge_max} != {None}:
+                raise ValueError("--regular sets the degree and edge window")
+            args.degree_min = args.degree_max = args.regular
+            args.edge_min = args.edge_max = args.n * args.regular // 2
+        spec = SearchSpec(n=args.n, degree_min=args.degree_min or 0,
+                          degree_max=args.degree_max, edge_min=args.edge_min or 0,
+                          edge_max=args.edge_max, d_sparse_filter=args.sparse,
+                          connectivity_min=args.connectivity)
+        for g in enumerate_constrained(spec, partition=args.partition):
             print(g.to_graph6())
         return EXIT_PASS
 

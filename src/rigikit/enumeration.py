@@ -29,8 +29,8 @@ A child that passes the key test is canonized at most once, and its
 canonical code serves the acceptance test, the child's own automorphism
 pruning and the output graph. Streams therefore carry one canonically
 labeled representative per isomorphism class. A child that would not be
-emitted is expanded first: when the edge count, the degree floor and the key
-bound leave it no candidate edge, nothing can come from it, whether it is
+emitted is expanded first: when the edge ceiling, the degree floor and the
+key bound leave it no candidate edge, nothing can come from it, whether it is
 accepted or not, and it is dropped uncanonized. The exception is a child at
 the shard hand-off depth, which is canonized and tested all the same,
 because shards are dealt by counting the accepted nodes there. Dense regimes
@@ -60,8 +60,10 @@ _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
 class SearchSpec:
     """Degree/edge/sparsity window for constrained enumeration.
 
-    degree_max defaults to n-1 and edge_max to C(n,2); bounds are validated
-    eagerly so infeasible or odd-parity regular requests fail up front.
+    degree_max defaults to n-1 and edge_max to C(n,2). Every infeasible
+    window fails here, up front: odd parity in a regular window, a degree
+    floor above the edge budget, an edge floor above the degree cap. An edge
+    spends two units of degree, so `_grow` never needs to re-test the cap.
     """
 
     n: int
@@ -94,6 +96,8 @@ class SearchSpec:
             raise ValueError(f"infeasible edge window [{self.edge_min}, {emax}]")
         if self.n * self.degree_min > 2 * emax:
             raise ValueError("infeasible: min degree exceeds the edge budget")
+        if 2 * self.edge_min > self.n * dmax:
+            raise ValueError("infeasible: min edges exceed the degree cap")
 
 
 def enumerate_constrained(
@@ -322,11 +326,8 @@ def _grow(
     def expand(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
                top: tuple[int, int, int]) -> dict[tuple[int, int], tuple[int, int, int]]:
         """The node's candidate edges, mapped to their keys in the child; empty
-        when the edge count, the degree floor or the key bound leaves no child."""
+        at the edge ceiling or when the degree floor or key bound leaves none."""
         if m == edge_hi:
-            return {}
-        free = sum(cap - dv for dv in degs)
-        if m + 1 + (free - 2) // 2 < edge_lo:
             return {}
         budget = edge_hi - m - 1
         cand = _candidates(adj, degs, keys, top, cap, n)

@@ -212,8 +212,6 @@ def is_k_connected(g: Graph, k: int) -> tuple[bool, Optional[frozenset[int]]]:
         raise ValueError("k must be >= 1")
     if g.n <= k:
         return (False, None)
-    if not g.is_connected():
-        return (False, frozenset())
     adj = g.adj
     best = k
     witness = None

@@ -322,12 +322,9 @@ def random_independent(rng: random.Random, d: int, n: int) -> Graph:
     return g
 
 
-def _suite(name: str, instances: int, failures: list, note: Optional[dict] = None) -> dict:
-    out = {"name": name, "ok": True if not failures else False,
-           "instances": instances, "failures": failures}
-    if note:
-        out.update(note)
-    return out
+def _suite(name: str, instances: int, failures: list) -> dict:
+    return {"name": name, "ok": not failures, "instances": instances,
+            "failures": failures}
 
 
 def verify_structure_suites(seed: Optional[int] = None) -> VerificationReport:

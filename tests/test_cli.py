@@ -166,6 +166,9 @@ class TestUsage:
         (["--sparse", "-1"], "dimension must be >= 1"),
         (["--edge-max", "-3"], "infeasible edge window"),
         (["--edge-min", "-1"], "infeasible edge window"),
+        (["--degree-max", "1", "--edge-min", "3"], "min edges exceed the degree cap"),
+        (["--regular", "2", "--degree-min", "5"], "--regular sets the degree and edge window"),
+        (["--regular", "2", "--edge-max", "5"], "--regular sets the degree and edge window"),
     ])
     def test_enumeration_window_rejected_with_its_cause(self, capsys, flags, message):
         assert main(["enumerate", "--n", "5", *flags]) == 3
@@ -226,6 +229,15 @@ class TestEnumerate:
     def test_infeasible_is_usage_error(self, capsys):
         code, _ = run(capsys, ["enumerate", "--n", "5", "--regular", "3"])
         assert code == 3
+
+    def test_regular_is_the_window_and_takes_the_filters(self, capsys):
+        # 4 of the 6 cubic graphs on 8 vertices are 3-connected
+        code, window = run(capsys, ["enumerate", "--n", "8", "--degree-min", "3",
+                                    "--degree-max", "3", "--connectivity", "3"])
+        assert code == 0 and len(window.splitlines()) == 4
+        code, out = run(capsys, ["enumerate", "--n", "8", "--regular", "3",
+                                 "--connectivity", "3"])
+        assert code == 0 and out == window
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_closed_stdout_exits_141_silently(self, unbuffered):

@@ -190,6 +190,7 @@ class TestConstrained:
         ({"d_sparse_filter": -1}, "dimension must be >= 1"),
         ({"edge_max": -3}, "infeasible edge window"),
         ({"edge_min": -1}, "infeasible edge window"),
+        ({"degree_max": 1, "edge_min": 3}, "min edges exceed the degree cap"),
     ])
     def test_rejection_names_the_cause(self, kwargs, message):
         with pytest.raises(ValueError, match=message):

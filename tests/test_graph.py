@@ -183,6 +183,22 @@ class TestConnectivity:
         g = Graph(7, ((0, 2), (0, 3), (0, 5), (1, 4), (1, 6), (2, 6), (3, 4)))
         assert is_k_connected(g, 2) == (False, frozenset({0}))
 
+    @pytest.mark.parametrize("g6, k, witness", [
+        ("JUGPy?gG?A_", 2, None),
+        ("JSYjA_og@D?", 3, {1, 3}),
+        ("L?OUCH_aVO?KCW", 7, {8, 10}),
+    ])
+    def test_augmenting_path_frees_a_used_vertex(self, g6, k, witness):
+        # each of these flows augments along a path that enters a used
+        # vertex's in-side and leaves back over its capacity, which frees it
+        g = Graph.from_graph6(g6)
+        ok, wit = is_k_connected(g, k)
+        kappa = nx.node_connectivity(to_nx(g))
+        assert ok == (kappa >= k)
+        assert wit == (None if witness is None else frozenset(witness))
+        if wit is not None:
+            assert len(wit) == kappa and separates(g, wit)
+
     def test_c4_not_3_connected(self):
         ok, wit = is_k_connected(cycle_graph(4), 3)
         assert not ok and len(wit) == 2

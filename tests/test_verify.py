@@ -150,6 +150,24 @@ class TestScope:
             check = rep.details[-1]
             assert check["name"] == "within-constructed-families" and check["ok"] is False
 
+    def test_unresolved_survivor_fails_closed(self, monkeypatch):
+        # an oracle that cannot decide one survivor leaves the whole report
+        # unresolved, never pass
+        real = verify.is_flexible_circuit
+        calls = []
+
+        def undecided_first(g, d, **kwargs):
+            flex, v = real(g, d, **kwargs)
+            calls.append(g)
+            return (None, v) if len(calls) == 1 else (flex, v)
+        monkeypatch.setattr(verify, "is_flexible_circuit", undecided_first)
+
+        rep, found = classify_flexible_circuits(3, 7, seed=1)
+        assert rep.status == STATUS_UNRESOLVED and rep.exit_code() == 2
+        unresolved = [c for c in rep.details if c["name"].startswith("unresolved-")]
+        assert [(c["name"], c["ok"]) for c in unresolved] == [("unresolved-#1", None)]
+        assert found == []
+
     def test_edge_bound_formula_only(self):
         # supply a fake classification so the unit test stays fast
         from rigikit import canonical_code
