@@ -38,6 +38,16 @@ because shards are dealt by counting the accepted nodes there. Dense regimes
 degree cap prunes far earlier; each emitted complement is canonized once
 more on the direct side.
 
+The top key also freezes vertices. A vertex's key after its next edge is at
+most (deg + 1) * (n*n + cap), since every neighbour's degree is capped; once
+that falls below the low end of the largest edge key, the vertex can gain no
+edge anywhere below the node, because the largest key only grows down the
+tree. Below the shard depth, a node with an edge floor still ahead is
+dropped when the degree room left on its unfrozen vertices, the sum of
+cap - deg, is under twice the edges it still needs; a child so dropped is
+never canonized. Nodes above the shard depth are kept, since shards are
+dealt by counting their descendants.
+
 Streams are resumable: DFS subtrees rooted at a fixed depth are dealt
 round-robin to `partition` shards, so shard outputs are disjoint and their
 union is the full stream.
@@ -326,9 +336,16 @@ def _grow(
     def expand(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
                top: tuple[int, int, int]) -> dict[tuple[int, int], tuple[int, int, int]]:
         """The node's candidate edges, mapped to their keys in the child; empty
-        at the edge ceiling or when the degree floor or key bound leaves none."""
+        at the edge ceiling, when the unfrozen vertices lack the degree room
+        to reach the edge floor, or when the degree floor or key bound
+        leaves none."""
         if m == edge_hi:
             return {}
+        if edge_lo > m >= shard_depth:
+            # below degree `thaw` a vertex is frozen: no later edge reaches top
+            thaw = -(-top[0] // (n * n + cap)) - 1
+            if sum(cap - dv for dv in degs if dv >= thaw) < 2 * (edge_lo - m):
+                return {}
         budget = edge_hi - m - 1
         cand = _candidates(adj, degs, keys, top, cap, n)
         if deficit > 2 * budget:

@@ -334,14 +334,15 @@ class TestCanonicalOutput:
         assert calls["canon"] == 3238
 
     def test_complement_branch_work_and_shards_are_pinned(self, monkeypatch):
-        # the branch the classification windows take: dead ends skip
-        # canonization, but every accepted node at the shard depth is still
-        # canonized and counted, so the shards stay as they were. The canon
-        # count includes each class's re-canonization on the direct side
+        # the branch the classification windows take: dead ends and nodes
+        # that cannot reach the edge floor skip canonization, but every
+        # accepted node at the shard depth is still canonized and counted, so
+        # the shards stay as they were. The canon count includes each class's
+        # re-canonization on the direct side
         spec = SearchSpec(n=8, degree_min=4, edge_min=16, d_sparse_filter=3)
         calls = _count_calls(monkeypatch)
         assert len(list(enumerate_constrained(spec))) == 94
-        assert calls == {"ties": 885, "canon": 469}
+        assert calls == {"ties": 784, "canon": 418}
         # sha1 of each shard's graph6 lines, in stream order
         got = [_sha1(enumerate_constrained(spec, partition=(i, 4))) for i in range(4)]
         assert got == ["da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
@@ -431,3 +432,48 @@ class TestEdgeKey:
             if ties is not None:
                 # the key passed down is the child's top
                 assert key == max(_edge_key(child.adj, ckeys, *e) for e in child.edges)
+
+
+class TestEdgeFloor:
+    """Below the shard depth, a node is dropped when its vertices that the
+    top edge key has not frozen lack the degree room for the edges the floor
+    still needs. That must cut work only: a window with an edge floor emits
+    the floor-less window's stream less the graphs below the floor, in the
+    same order and in the same shards."""
+
+    @pytest.mark.parametrize("floored, floorless", [
+        # direct branch: an edge floor, and a regular window
+        (SearchSpec(n=8, degree_min=2, degree_max=4, edge_min=13),
+         SearchSpec(n=8, degree_min=2, degree_max=4)),
+        (SearchSpec(n=10, degree_min=3, degree_max=3, edge_min=15, edge_max=15),
+         SearchSpec(n=10, degree_min=3, degree_max=3)),
+        # complement branch: a ceiling on G is a floor on its complement
+        (SearchSpec(n=9, degree_min=5, edge_max=26), SearchSpec(n=9, degree_min=5)),
+        (SearchSpec(n=10, degree_min=6, degree_max=6, edge_min=30, edge_max=30),
+         SearchSpec(n=10, degree_min=6, degree_max=6)),
+    ])
+    @pytest.mark.parametrize("partition", [(0, 1), (0, 3), (1, 3), (2, 3)])
+    def test_floor_cuts_the_floorless_stream(self, floored, floorless, partition):
+        lo, hi = floored.edge_min, floored.edge_max
+        want = [g.to_graph6() for g in enumerate_constrained(floorless, partition)
+                if lo <= g.m <= hi]
+        got = [g.to_graph6() for g in enumerate_constrained(floored, partition)]
+        assert got == want
+
+    def test_regular_budget(self, monkeypatch):
+        # a cubic window's vertices freeze once the top key outgrows them
+        calls = _count_calls(monkeypatch)
+        assert len(list(enumerate_regular(12, 3))) == 94
+        assert calls["canon"] <= 8200  # 36,703 without the floor prune
+
+    @pytest.mark.slow
+    def test_d3_window_budget(self, monkeypatch):
+        # the classify-d3 windows, n <= 9: min degree 4, so at least 2n
+        # edges, and d=3 sparsity, so at most 3n - 6; both hold from n = 6
+        calls = _count_calls(monkeypatch)
+        survivors = 0
+        for n in range(6, 10):
+            spec = SearchSpec(n=n, degree_min=4, edge_min=2 * n, d_sparse_filter=3)
+            survivors += sum(1 for _ in enumerate_constrained(spec))
+        assert survivors == 2709
+        assert calls["canon"] <= 13200  # 16,640 without the floor prune
