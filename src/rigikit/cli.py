@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 
 from . import __version__
 from .constructions import (
+    LabeledConstruction,
     build_glued_cliques,
     cone,
     enumerate_glued_cliques_plus,
@@ -236,13 +237,11 @@ def _family(args) -> int:
     elif args.name == "complete":
         if args.n is None:
             raise ValueError("complete needs --n")
-        print(complete_graph(args.n).to_graph6())
-        return EXIT_PASS
+        out.append(LabeledConstruction(complete_graph(args.n)))
     else:
         if args.parts is None:
             raise ValueError("complete-bipartite needs --parts s t")
-        print(complete_bipartite(*args.parts).to_graph6())
-        return EXIT_PASS
+        out.append(LabeledConstruction(complete_bipartite(*args.parts)))
     for c in out:
         if args.format == "g6":
             print(c.graph.to_graph6())

@@ -31,26 +31,24 @@ pruning and the output graph. Streams therefore carry one canonically
 labeled representative per isomorphism class. A child that would not be
 emitted is expanded first: when the edge ceiling, the degree floor and the
 key bound leave it no candidate edge, nothing can come from it, whether it is
-accepted or not, and it is dropped uncanonized. The exception is a child at
-the shard hand-off depth, which is canonized and tested all the same,
-because shards are dealt by counting the accepted nodes there. Dense regimes
-(min degree above half the graph) generate complements instead, where the
-degree cap prunes far earlier; each emitted complement is canonized once
-more on the direct side.
+accepted or not, and it is dropped uncanonized. Dense regimes (min degree
+above half the graph) generate complements instead, where the degree cap
+prunes far earlier; each emitted complement is canonized once more on the
+direct side.
 
 The top key also freezes vertices. A vertex's key after its next edge is at
 most (deg + 1) * (n*n + cap), since every neighbour's degree is capped; once
 that falls below the low end of the largest edge key, the vertex can gain no
 edge anywhere below the node, because the largest key only grows down the
-tree. Below the shard depth, a node with an edge floor still ahead is
-dropped when the degree room left on its unfrozen vertices, the sum of
-cap - deg, is under twice the edges it still needs; a child so dropped is
-never canonized. Nodes above the shard depth are kept, since shards are
-dealt by counting their descendants.
+tree. A node with an edge floor still ahead is dropped when the degree
+room left on its unfrozen vertices, the sum of cap - deg, is under twice the
+edges it still needs; a child so dropped is never canonized.
 
-Streams are resumable: DFS subtrees rooted at a fixed depth are dealt
-round-robin to `partition` shards, so shard outputs are disjoint and their
-union is the full stream.
+Streams are resumable: each DFS subtree rooted at a fixed depth goes to the
+`partition` shard picked by a fixed mix of its root's canonical code, and
+only shard 0 emits the nodes above that depth. A shard thus depends on no
+other node, so no prune needs to spare one; shard outputs are disjoint, keep
+the stream's order, and their union is the full stream.
 """
 
 from __future__ import annotations
@@ -282,8 +280,8 @@ def _grow(
 
     A node that emits is canonized, yielded and then expanded. Any other
     child is expanded by its parent before `canon_raw`: a dead end (no
-    candidate edge) is dropped there unless it sits at the shard depth, and
-    a live child takes its candidates down with it.
+    candidate edge) is dropped there, and a live child takes its candidates
+    down with it.
     """
     shard_i, shard_m = partition
     shard_depth = max(min(_SHARD_DEPTH, edge_hi), 1)  # only shard 0 emits the root
@@ -328,8 +326,6 @@ def _grow(
         best = max(ties, key=g6_index)
         return best == e or e in pair_orbit(best, gens)
 
-    shard_counter = 0
-
     def emits(m: int, deficit: int) -> bool:
         return m >= edge_lo and deficit == 0 and (m >= shard_depth or shard_i == 0)
 
@@ -341,7 +337,7 @@ def _grow(
         leaves none."""
         if m == edge_hi:
             return {}
-        if edge_lo > m >= shard_depth:
+        if edge_lo > m:
             # below degree `thaw` a vertex is frozen: no later edge reaches top
             thaw = -(-top[0] // (n * n + cap)) - 1
             if sum(cap - dv for dv in degs if dv >= thaw) < 2 * (edge_lo - m):
@@ -359,7 +355,6 @@ def _grow(
             cand: Optional[dict[tuple[int, int], tuple[int, int, int]]]
             ) -> Iterator[tuple[list[int], int]]:
         # cand is None for an emitting node, which expands once it is yielded
-        nonlocal shard_counter
         if cand is None:
             yield adj, code
             cand = expand(adj, degs, keys, m, deficit, top)
@@ -380,17 +375,17 @@ def _grow(
             cand2 = None
             if not emits(m + 1, d2):
                 cand2 = expand(adj2, degs2, keys2, m + 1, d2, top2)
-                # a dead end yields nothing, canonical or not; the shard
-                # depth still counts every accepted node
-                if not cand2 and m + 1 != shard_depth:
+                if not cand2:  # a dead end yields nothing, canonical or not
                     continue
             code2, perm, cgens = canon_raw(adj2, n)
             if len(ties) > 1 and not is_canonical((u, v), ties, perm, cgens):
                 continue
-            if m + 1 == shard_depth:
-                shard_counter += 1
-                if (shard_counter - 1) % shard_m != shard_i:
-                    continue
+            # the subtree's shard is the Fibonacci hash of its root's code,
+            # scaled to m; plain code % m sends the n=11 degree-2/3 stream
+            # to one shard
+            if m + 1 == shard_depth and shard_i != (
+                    (code2 * 0x9E3779B97F4A7C15) & (2**64 - 1)) * shard_m >> 64:
+                continue
             yield from dfs(adj2, degs2, keys2, m + 1, d2, code2, cgens, top2, cand2)
 
     root = [0] * n  # the edgeless graph's adjacency, degrees and keys; never mutated

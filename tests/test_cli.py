@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rigikit
-from rigikit import Graph, complete_graph, canonical_code
+from rigikit import Graph, complete_bipartite, complete_graph, canonical_code
 from rigikit.cli import main
 from rigikit.constructions import build_glued_cliques
 from rigikit.verify import CLAIMS, SHARDED
@@ -37,9 +37,21 @@ class TestFamily:
         assert len(out.strip().splitlines()) == 3
 
     def test_complete(self, capsys):
+        # the default --format json prints the graph6 with empty roles
         code, out = run(capsys, ["family", "complete", "--n", "5"])
         assert code == 0
-        assert Graph.from_graph6(out.strip()) == complete_graph(5)
+        payload = json.loads(out)
+        assert Graph.from_graph6(payload["graph6"]) == complete_graph(5)
+        assert payload["roles"] == {}
+
+    @pytest.mark.parametrize("argv, graph", [
+        (["complete", "--n", "5"], complete_graph(5)),
+        (["complete-bipartite", "--parts", "2", "3"], complete_bipartite(2, 3)),
+    ])
+    def test_g6_format(self, capsys, argv, graph):
+        code, out = run(capsys, ["family", *argv, "--format", "g6"])
+        assert code == 0
+        assert out == graph.to_graph6() + "\n"
 
 
 class TestCheck:

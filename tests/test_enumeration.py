@@ -238,6 +238,24 @@ class TestPartition:
         assert set().union(*pieces) == full
         assert sum(len(p) for p in pieces) == len(full)
 
+    @pytest.mark.parametrize("spec", [
+        SearchSpec(n=10, degree_min=2, degree_max=3),  # direct branch
+        SearchSpec(n=8, degree_min=4, d_sparse_filter=3),  # complement branch
+    ])
+    @pytest.mark.parametrize("m", [2, 3, 4, 7])
+    def test_shards_keep_emission_order(self, spec, m):
+        # each shard is a subsequence of the whole stream, and together the
+        # shards cover it once
+        stream = [g.to_graph6() for g in enumerate_constrained(spec)]
+        position = {g6: k for k, g6 in enumerate(stream)}
+        seen = []
+        for i in range(m):
+            shard = [position[g.to_graph6()]
+                     for g in enumerate_constrained(spec, partition=(i, m))]
+            assert shard == sorted(shard)
+            seen += shard
+        assert sorted(seen) == list(range(len(stream)))
+
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
             list(enumerate_regular(6, 3, partition=(3, 3)))
@@ -246,8 +264,8 @@ class TestPartition:
         # sha1 of each shard's graph6 lines, in stream order
         got = [_sha1(enumerate_regular(6, 3, partition=(i, 3))) for i in range(3)]
         assert got == ["da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
-                       "88e0af14243f65d05799e02530e9e9e8c2a5f110",  # ELv_
-                       "27cc92c74bc455ce86279b8a8c3355b1112cc5fa"]  # EFz_
+                       "27cc92c74bc455ce86279b8a8c3355b1112cc5fa",  # EFz_
+                       "88e0af14243f65d05799e02530e9e9e8c2a5f110"]  # ELv_
 
     def test_order_depends_on_the_group_not_the_generators(self, monkeypatch):
         # canon_raw may return any generating set of Aut(G): a reversed list
@@ -331,24 +349,23 @@ class TestCanonicalOutput:
         out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
         assert len(out) == 525
         assert calls["ties"] <= 9300
-        assert calls["canon"] == 3238
+        assert calls["canon"] == 3236
 
     def test_complement_branch_work_and_shards_are_pinned(self, monkeypatch):
         # the branch the classification windows take: dead ends and nodes
-        # that cannot reach the edge floor skip canonization, but every
-        # accepted node at the shard depth is still canonized and counted, so
-        # the shards stay as they were. The canon count includes each class's
-        # re-canonization on the direct side
+        # that cannot reach the edge floor skip canonization at every depth,
+        # since a shard is dealt by its root's canonical code alone. The canon
+        # count includes each class's re-canonization on the direct side
         spec = SearchSpec(n=8, degree_min=4, edge_min=16, d_sparse_filter=3)
         calls = _count_calls(monkeypatch)
         assert len(list(enumerate_constrained(spec))) == 94
-        assert calls == {"ties": 784, "canon": 418}
+        assert calls == {"ties": 769, "canon": 399}
         # sha1 of each shard's graph6 lines, in stream order
         got = [_sha1(enumerate_constrained(spec, partition=(i, 4))) for i in range(4)]
-        assert got == ["da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
-                       "c1d060b5739f885f26068e3b622aa7e2ba7757e0",
-                       "ff539d47883bf6bbcebe2e2c90426c69ccf01ce1",
-                       "90e787147ac351b170d665663eb0dfad5364b71b"]
+        assert got == ["67e534e6554a775085f6b9f67ded24ece69d3048",
+                       "da39a3ee5e6b4b0d3255bfef95601890afd80709",  # empty
+                       "fb2bccd7fc052f88b7cbb07f242eb0eb88707e41",
+                       "da39a3ee5e6b4b0d3255bfef95601890afd80709"]  # empty
 
     def test_output_is_pinned(self):
         # sha1 of the sorted graph6 stream: the canonical form must not drift
@@ -435,11 +452,11 @@ class TestEdgeKey:
 
 
 class TestEdgeFloor:
-    """Below the shard depth, a node is dropped when its vertices that the
-    top edge key has not frozen lack the degree room for the edges the floor
-    still needs. That must cut work only: a window with an edge floor emits
-    the floor-less window's stream less the graphs below the floor, in the
-    same order and in the same shards."""
+    """A node is dropped when its vertices that the top edge key has not
+    frozen lack the degree room for the edges the floor still needs. That
+    must cut work only: a window with an edge floor emits the floor-less
+    window's stream less the graphs below the floor, in the same order and
+    in the same shards."""
 
     @pytest.mark.parametrize("floored, floorless", [
         # direct branch: an edge floor, and a regular window
@@ -452,7 +469,9 @@ class TestEdgeFloor:
         (SearchSpec(n=10, degree_min=6, degree_max=6, edge_min=30, edge_max=30),
          SearchSpec(n=10, degree_min=6, degree_max=6)),
     ])
-    @pytest.mark.parametrize("partition", [(0, 1), (0, 3), (1, 3), (2, 3)])
+    @pytest.mark.parametrize("partition", [
+        (0, 1), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4),
+    ])
     def test_floor_cuts_the_floorless_stream(self, floored, floorless, partition):
         lo, hi = floored.edge_min, floored.edge_max
         want = [g.to_graph6() for g in enumerate_constrained(floorless, partition)
