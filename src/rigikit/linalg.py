@@ -1,26 +1,47 @@
-"""Exact rank computation: dense elimination over a prime field, and
+"""Exact rank computation: packed-row elimination over a prime field, and
 fraction-free integer elimination for the rational cross-check path.
 
-Matrices are lists of row lists of Python ints; sizes in scope stay below
-roughly 100 x 200, so dense elimination is the right tool.
+Matrices come in as lists of row lists of Python ints. Over F_p each row is
+reduced mod p and packed into one int, with one lane of W = 64*w bits per
+column: column c holds bits W*c .. W*c + W - 1. Adding a multiple of one
+row to another is then one big-int multiply-add over all its columns, and
+`_eliminate` explains why no lane ever carries into the next. Each row also
+carries a mask whose byte c is nonzero when column c may be nonzero in the
+row, so a column's pivot search and updates read only the rows that can
+hold an entry there.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from itertools import chain
 
 # Largest 62-bit prime. At the scales in scope (d*|V| <= ~150) a single
 # random evaluation misses the generic rank with probability < 2^-54.
 DEFAULT_PRIME = 2**62 - 57
 
+# rows are packed through array("Q"), one 64-bit word per item
+if array("Q").itemsize != 8:
+    raise ImportError("rigikit.linalg needs array('Q') items of 8 bytes")
+
 
 def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
-    """Rank of the matrix over F_p. Rows are consumed as copies."""
-    return _eliminate([r[:] for r in rows], p)
+    """Rank of the matrix over F_p.
+
+    Entries may be any ints, negative or >= p included: each is reduced
+    mod p here. The rows are only read, never changed.
+    """
+    return _eliminate(rows, p)
 
 
 def rank_and_left_null_mod_p(
     rows: list[list[int]], p: int = DEFAULT_PRIME
 ) -> tuple[int, list[list[int]]]:
     """Rank plus a basis of the left null space over F_p.
+
+    Entries may be any ints, negative or >= p included: each is reduced
+    mod p here. The rows are only read, never changed.
 
     The basis is what eliminating the matrix augmented with an identity
     block leaves in the augmented part of the rows whose original part
@@ -31,9 +52,8 @@ def rank_and_left_null_mod_p(
     row's augmented part is expanded from the log, latest pivot first.
     """
     m = len(rows)
-    work = [r[:] for r in rows]
     log: list[tuple[int, list[tuple[int, int]]]] = [(i, []) for i in range(m)]
-    rank = _eliminate(work, p, log)
+    rank = _eliminate(rows, p, log)
     null = []
     for i in range(rank, m):
         origin, added = log[i]
@@ -56,7 +76,30 @@ def _eliminate(
     rows: list[list[int]], p: int,
     log: list[tuple[int, list[tuple[int, int]]]] | None = None,
 ) -> int:
-    """In-place row echelon over F_p; returns rank.
+    """Row echelon over F_p of packed copies of `rows`; returns the rank.
+
+    Pivots are those of plain elimination: at column c, the first remaining
+    row whose entry there is nonzero mod p. Each row below with a nonzero
+    entry e takes f = -e/pivot mod p times the pivot row, as one big-int
+    multiply-add that is not reduced, and ORs the pivot's mask into its
+    own. Only the pivot row is reduced, all its lanes at once by one
+    Barrett step (Barrett, CRYPTO '86):
+
+        x - (((x * mu) >> t) & qmask) * p,    mu = 2^t // p,
+
+    where qmask keeps the low W - t bits of every lane. For a lane below
+    2^t the quotient estimate lies in (x/p - 2, x/p], so the lane ends in
+    [0, 2p), inside the 3p that t allows for.
+
+    Why no lane carries: a row starts with lanes below p and gains less
+    than p * 3p per lane from each pivot, at most m - 1 times, so every
+    lane stays below 3p^2(m + 1) < 2^t with t = (3*p*p*(m + 1)).bit_length().
+    A lane's product with mu is then below 2^(t + mu.bit_length()) <= 2^W,
+    so `x * mu` keeps each lane's product inside the lane, and after the
+    shift by t qmask drops the bits that came down from the lane above. The
+    quotient times p is at most the lane, so the subtraction borrows
+    nothing either. At p = 32749 a lane is one 64-bit word for up to ~170
+    rows; DEFAULT_PRIME takes 4 words.
 
     With `log`, one entry per row that moves with it, each update of a row
     by the pivot row at rank position j appends (j, multiplier) to the
@@ -66,34 +109,94 @@ def _eliminate(
     if m == 0:
         return 0
     ncols = len(rows[0])
+    t = (3 * p * p * (m + 1)).bit_length()
+    mu = (1 << t) // p
+    words = -(-(t + mu.bit_length()) // 64)
+    width = 64 * words
+    lane = (1 << width) - 1
+    qmask = int.from_bytes((b"\1" + bytes(8 * words - 1)) * ncols, "little")
+    qmask *= (1 << width - t) - 1
+    packed, masks = _pack(rows, p, words)
     rank = 0
     for c in range(ncols):
+        shift = width * c
+        byte = 0xFF << 8 * c
         piv = -1
         for i in range(rank, m):
-            if rows[i][c]:
-                piv = i
-                break
+            if masks[i] & byte:
+                entry = (packed[i] >> shift & lane) % p
+                if entry:
+                    piv = i
+                    break
         if piv < 0:
             continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
+        # rows rank..piv-1 are zero at c, and so is the row swapped into piv
+        packed[rank], packed[piv] = packed[piv], packed[rank]
+        masks[rank], masks[piv] = masks[piv], masks[rank]
         if log is not None:
             log[rank], log[piv] = log[piv], log[rank]
-        # the pivot row stays unscaled: each row below takes the multiple
-        # -f/pivot of it, which leaves the rows below exactly as scaling first
-        tail = rows[rank][c:]
-        neg_inv = p - pow(tail[0], -1, p)
-        for i in range(rank + 1, m):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                f = f * neg_inv % p
-                rows[i] = ri[:c] + [(a + f * b) % p for a, b in zip(ri[c:], tail)]
-                if log is not None:
-                    log[i][1].append((rank, f))
+        x = packed[rank]
+        x -= (x * mu >> t & qmask) * p
+        packed[rank] = x
+        pivot_mask = masks[rank]
+        neg_inv = p - pow(entry, -1, p)
+        for i in range(piv + 1, m):
+            if masks[i] & byte:
+                f = (packed[i] >> shift & lane) * neg_inv % p
+                if f:
+                    packed[i] += f * x
+                    masks[i] |= pivot_mask
+                    if log is not None:
+                        log[i][1].append((rank, f))
         rank += 1
         if rank == m:
             break
     return rank
+
+
+def _pack(
+    rows: list[list[int]], p: int, words: int
+) -> tuple[list[int], list[int]]:
+    """Each row reduced mod p as one int with a lane of `words` 64-bit words
+    per column, and its mask, whose byte c is nonzero when column c is.
+
+    The whole matrix goes through one bytes object, each lane's bytes in
+    little-endian order. A reduced cell fits in its lane's first
+    ceil(bits(p) / 8) bytes, so the OR of those bytes, one strided slice
+    each, gives every cell's mask byte at once.
+    """
+    m, ncols = len(rows), len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows differ in length")
+    cells = list(chain.from_iterable(rows))
+    lane_bytes = 8 * words
+    if p >> 64:  # a cell may not fit one array word
+        cells = [v % p for v in cells]
+        data = b"".join(v.to_bytes(lane_bytes, "little") for v in cells)
+    else:
+        try:
+            a = array("Q", cells)
+            reduced = max(cells, default=0) < p
+        except OverflowError:  # an entry below 0, or of 64 bits or more
+            reduced = False
+        if not reduced:
+            cells = [v % p for v in cells]
+            a = array("Q", cells)
+        if sys.byteorder == "big":
+            a.byteswap()
+        if words > 1:
+            a, cell_words = array("Q", bytes(lane_bytes * len(cells))), a
+            a[::words] = cell_words
+        data = a.tobytes()
+    flags = 0
+    for k in range((p.bit_length() + 7) // 8):
+        flags |= int.from_bytes(data[k::lane_bytes], "little")
+    flag_bytes = flags.to_bytes(len(cells), "little")
+    size = lane_bytes * ncols
+    packed = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(m)]
+    masks = [int.from_bytes(flag_bytes[i * ncols:(i + 1) * ncols], "little")
+             for i in range(m)]
+    return packed, masks
 
 
 def rank_exact_int(rows: list[list[int]]) -> int:

@@ -31,7 +31,7 @@ count bound, the sparsity report (a search inside the (d+1)-core, see
 `graph.is_k_connected`). Each random point is eliminated once.
 
 The first point's seed is evaluated first modulo the 15-bit prime 32749,
-where every intermediate of the elimination fits one CPython digit. A rank
+where the packed elimination needs one 64-bit word per column. A rank
 there that meets the count bound settles the verdict on that point alone,
 and every flag it settles is deterministic. Otherwise the point is dropped
 and the same seed starts the points at p (by default the 62-bit prime), so
@@ -383,10 +383,11 @@ class _Facts:
 # a trial point: the rank there, and a left null space basis when computed
 _Point = tuple[int, Optional[list[list[int]]]]
 
-# The largest prime below 2^15: every a + f*b of an elimination modulo it
-# stays below 2^30, one CPython digit. A rank at any prime bounds the
-# generic rank from below, so a point there that meets the count bound
-# certifies as well as one at the default prime does.
+# The largest prime below 2^15: the packed elimination modulo it keeps each
+# column in one 64-bit word for matrices of up to ~170 rows, where the
+# default prime needs 4. A rank at any prime bounds the generic rank from
+# below, so a point there that meets the count bound certifies as well as
+# one at the default prime does.
 _SMALL_PRIME = 32749
 
 

@@ -1,14 +1,23 @@
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
+from rigikit import linalg
+from rigikit.constructions import build_glued_cliques, cone
+from rigikit.graph import complete_bipartite
 from rigikit.linalg import (
     DEFAULT_PRIME,
     rank_and_left_null_mod_p,
     rank_exact_int,
     rank_mod_p,
 )
+from rigikit.rigidity import random_realization, rigidity_matrix
+
+# 2 and 3 make zero pivots and row swaps common; 32749 is the verdicts'
+# first prime; DEFAULT_PRIME needs lanes of 4 words
+PRIMES = (2, 3, 5, 101, 32749, DEFAULT_PRIME)
 
 
 def fraction_rank(rows):
@@ -64,8 +73,55 @@ def test_modular_matches_fraction_oracle():
     for _ in range(60):
         m, n = rng.randrange(1, 8), rng.randrange(1, 8)
         A = random_matrix(rng, m, n, lowrank=rng.random() < 0.5)
-        B = [[x % DEFAULT_PRIME for x in r] for r in A]
-        assert rank_mod_p(B) == fraction_rank(A)
+        assert rank_mod_p(A) == fraction_rank(A)
+    # a matrix of rank r over every field: up to 160 rows, which moves the
+    # lane bound, taller than wide, and with all-zero columns
+    for m, n, r in ((1, 1, 1), (7, 3, 3), (40, 12, 5), (12, 40, 12),
+                    (160, 10, 4), (160, 40, 40), (30, 30, 0)):
+        A = rank_r_matrix(rng, m, n, r)
+        assert fraction_rank(A) == r
+        for p in PRIMES:
+            assert rank_mod_p(A, p) == r, (p, m, n, r)
+
+
+def rank_r_matrix(rng, m, n, r):
+    """An integer m x n matrix of rank r over Q and over every F_p: the
+    identity of rank r moved by unimodular row and column operations, with
+    two all-zero columns spliced in."""
+    A = [[int(i == j < r) for j in range(n)] for i in range(m)]
+    for _ in range(2 * (m + n)):
+        i, j, k = rng.randrange(m), rng.randrange(m), rng.choice((-2, -1, 1, 2))
+        if i != j:
+            A[j] = [a + k * b for a, b in zip(A[j], A[i])]
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.choice((-2, -1, 1, 2))
+        if i != j:
+            for row in A:
+                row[j] += k * row[i]
+    rng.shuffle(A)
+    at = rng.randrange(n + 1)
+    for row in A:
+        row.insert(at, 0)
+        row.insert(0, 0)
+    return A
+
+
+def test_entries_are_reduced_and_rows_left_unchanged():
+    # an unreduced entry that is 0 mod p is no pivot
+    assert rank_mod_p([[5, 1]], 5) == 1
+    assert rank_and_left_null_mod_p([[5, 1], [1, 7]], 5) == (2, [])
+    rng = random.Random(16)
+    for p in (*PRIMES, 2**64 - 59, 2**89 - 1):
+        for _ in range(10):
+            m, n = rng.randrange(1, 12), rng.randrange(1, 9)
+            A = [[rng.randrange(-3 * p, 3 * p) for _ in range(n)] for _ in range(m)]
+            if rng.random() < 0.5:
+                A.append([x - 2 * y for x, y in zip(A[0], A[-1])])
+            before = [r[:] for r in A]
+            reduced = [[x % p for x in r] for r in A]
+            assert rank_mod_p(A, p) == rank_mod_p(reduced, p)
+            assert rank_and_left_null_mod_p(A, p) == rank_and_left_null_mod_p(reduced, p)
+            assert rank_and_left_null_mod_p(reduced, p) == augmented_rank_and_left_null(reduced, p)
+            assert A == before
 
 
 def test_sympy_cross_check():
@@ -94,6 +150,13 @@ def test_left_null_space():
 def test_empty_matrix():
     assert rank_mod_p([]) == 0
     assert rank_exact_int([]) == 0
+    assert rank_and_left_null_mod_p([[], []]) == (0, [[1, 0], [0, 1]])
+
+
+def test_ragged_rows_are_rejected():
+    # packing flattens the rows, so unequal lengths would shift columns
+    with pytest.raises(ValueError):
+        rank_mod_p([[1, 2], [3], [4, 5, 6]])
 
 
 def augmented_rank_and_left_null(rows, p):
@@ -120,9 +183,75 @@ def augmented_rank_and_left_null(rows, p):
 def test_left_null_space_equals_augmented_elimination():
     # a small prime makes zero pivots, row swaps and deep dependencies common
     rng = random.Random(15)
-    for p in (5, 101, DEFAULT_PRIME):
-        for _ in range(80):
+    for p in PRIMES:
+        for _ in range(40):
             m, n = rng.randrange(1, 12), rng.randrange(1, 9)
             A = random_matrix(rng, m, n, lowrank=rng.random() < 0.7)
             B = [[x % p for x in r] for r in A]
             assert rank_and_left_null_mod_p(B, p) == augmented_rank_and_left_null(B, p)
+        # tall, wide, all-zero columns, up to 160 rows, and the worst case
+        # for lane growth: tall and low-rank with every entry p - 1
+        shapes = [rank_r_matrix(rng, 160, 12, 6), rank_r_matrix(rng, 60, 20, 20),
+                  rank_r_matrix(rng, 10, 50, 9), [[p - 1] * 30 for _ in range(160)]]
+        for A in shapes:
+            B = [[x % p for x in r] for r in A]
+            rank, null = rank_and_left_null_mod_p(B, p)
+            assert (rank, null) == augmented_rank_and_left_null(B, p)
+            for vec in null:
+                assert not any(sum(v * r[j] for v, r in zip(vec, B)) % p
+                               for j in range(len(B[0])))
+
+
+def list_eliminate(rows, p, log=None):
+    """Reference: the elimination over lists of cells that the packed rows
+    replaced, with the same pivots, multipliers and log."""
+    rows = [[x % p for x in r] for r in rows]
+    m = len(rows)
+    if m == 0:
+        return 0
+    rank = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(rank, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        if log is not None:
+            log[rank], log[piv] = log[piv], log[rank]
+        tail = rows[rank][c:]
+        neg_inv = p - pow(tail[0], -1, p)
+        for i in range(rank + 1, m):
+            ri = rows[i]
+            f = ri[c] * neg_inv % p
+            if f:
+                rows[i] = ri[:c] + [(a + f * b) % p for a, b in zip(ri[c:], tail)]
+                if log is not None:
+                    log[i][1].append((rank, f))
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def _reference_graphs():
+    graphs = {}
+    g = complete_bipartite(6, 6)
+    for d in range(4, 8):  # the cone ladder over K_{6,6}
+        graphs[f"cone{d - 4}-K66"] = g, d
+        g = cone(g)
+    for d in range(3, 8):
+        graphs[f"B{d}{d - 1}"] = build_glued_cliques(d, d - 1).graph, d
+    graphs["K55"] = complete_bipartite(5, 5), 3
+    return graphs
+
+
+REFERENCE_GRAPHS = _reference_graphs()
+
+
+@pytest.mark.parametrize("p", (32749, DEFAULT_PRIME))
+@pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
+def test_rigidity_matrices_match_list_elimination(monkeypatch, name, p):
+    g, d = REFERENCE_GRAPHS[name]
+    rows = [list(r) for r in rigidity_matrix(g, random_realization(g, d, 7, field=p)).rows]
+    got = rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p)
+    monkeypatch.setattr(linalg, "_eliminate", list_eliminate)
+    assert got == (rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p))
