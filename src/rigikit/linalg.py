@@ -168,20 +168,12 @@ def _pack(
     m, ncols = len(rows), len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError("matrix rows differ in length")
-    cells = list(chain.from_iterable(rows))
+    cells = [v % p for v in chain.from_iterable(rows)]
     lane_bytes = 8 * words
     if p >> 64:  # a cell may not fit one array word
-        cells = [v % p for v in cells]
         data = b"".join(v.to_bytes(lane_bytes, "little") for v in cells)
     else:
-        try:
-            a = array("Q", cells)
-            reduced = max(cells, default=0) < p
-        except OverflowError:  # an entry below 0, or of 64 bits or more
-            reduced = False
-        if not reduced:
-            cells = [v % p for v in cells]
-            a = array("Q", cells)
+        a = array("Q", cells)
         if sys.byteorder == "big":
             a.byteswap()
         if words > 1:

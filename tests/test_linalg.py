@@ -183,12 +183,17 @@ def augmented_rank_and_left_null(rows, p):
 def test_left_null_space_equals_augmented_elimination():
     # a small prime makes zero pivots, row swaps and deep dependencies common
     rng = random.Random(15)
-    for p in PRIMES:
-        for _ in range(40):
+    for p in (5, 101, DEFAULT_PRIME, 2, 3, 32749):
+        for _ in range(80):
             m, n = rng.randrange(1, 12), rng.randrange(1, 9)
             A = random_matrix(rng, m, n, lowrank=rng.random() < 0.7)
             B = [[x % p for x in r] for r in A]
             assert rank_and_left_null_mod_p(B, p) == augmented_rank_and_left_null(B, p)
+
+
+def test_structured_shapes_equal_augmented_elimination():
+    rng = random.Random(17)
+    for p in PRIMES:
         # tall, wide, all-zero columns, up to 160 rows, and the worst case
         # for lane growth: tall and low-rank with every entry p - 1
         shapes = [rank_r_matrix(rng, 160, 12, 6), rank_r_matrix(rng, 60, 20, 20),
