@@ -1,8 +1,9 @@
 """Exact rank computation: packed-row elimination over a prime field, and
 fraction-free integer elimination for the rational cross-check path.
 
-Matrices come in as lists of row lists of Python ints. Over F_p each row is
-reduced mod p and packed into one int, with one lane of W = 64*w bits per
+Matrices come in as sequences of rows, each a sequence of Python ints; they
+are read and never changed. Over F_p each row is reduced mod p, here and
+nowhere else, and packed into one int, with one lane of W = 64*w bits per
 column: column c holds bits W*c .. W*c + W - 1. Adding a multiple of one
 row to another is then one big-int multiply-add over all its columns, and
 `_eliminate` explains why no lane ever carries into the next. Each row also
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from itertools import chain
 
 # Largest 62-bit prime. At the scales in scope (d*|V| <= ~150) a single
@@ -26,7 +28,7 @@ if array("Q").itemsize != 8:
     raise ImportError("rigikit.linalg needs array('Q') items of 8 bytes")
 
 
-def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
+def rank_mod_p(rows: Sequence[Sequence[int]], p: int = DEFAULT_PRIME) -> int:
     """Rank of the matrix over F_p.
 
     Entries may be any ints, negative or >= p included: each is reduced
@@ -36,7 +38,7 @@ def rank_mod_p(rows: list[list[int]], p: int = DEFAULT_PRIME) -> int:
 
 
 def rank_and_left_null_mod_p(
-    rows: list[list[int]], p: int = DEFAULT_PRIME
+    rows: Sequence[Sequence[int]], p: int = DEFAULT_PRIME
 ) -> tuple[int, list[list[int]]]:
     """Rank plus a basis of the left null space over F_p.
 
@@ -73,7 +75,7 @@ def rank_and_left_null_mod_p(
 
 
 def _eliminate(
-    rows: list[list[int]], p: int,
+    rows: Sequence[Sequence[int]], p: int,
     log: list[tuple[int, list[tuple[int, int]]]] | None = None,
 ) -> int:
     """Row echelon over F_p of packed copies of `rows`; returns the rank.
@@ -155,7 +157,7 @@ def _eliminate(
 
 
 def _pack(
-    rows: list[list[int]], p: int, words: int
+    rows: Sequence[Sequence[int]], p: int, words: int
 ) -> tuple[list[int], list[int]]:
     """Each row reduced mod p as one int with a lane of `words` 64-bit words
     per column, and its mask, whose byte c is nonzero when column c is.
@@ -173,12 +175,10 @@ def _pack(
     if p >> 64:  # a cell may not fit one array word
         data = b"".join(v.to_bytes(lane_bytes, "little") for v in cells)
     else:
-        a = array("Q", cells)
+        a = array("Q", bytes(lane_bytes * len(cells)))
+        a[::words] = array("Q", cells)
         if sys.byteorder == "big":
             a.byteswap()
-        if words > 1:
-            a, cell_words = array("Q", bytes(lane_bytes * len(cells))), a
-            a[::words] = cell_words
         data = a.tobytes()
     flags = 0
     for k in range((p.bit_length() + 7) // 8):
@@ -191,10 +191,11 @@ def _pack(
     return packed, masks
 
 
-def rank_exact_int(rows: list[list[int]]) -> int:
+def rank_exact_int(rows: Sequence[Sequence[int]]) -> int:
     """Exact rank over the rationals of an integer matrix (Bareiss
-    fraction-free elimination; entries stay integral throughout)."""
-    A = [r[:] for r in rows]
+    fraction-free elimination; entries stay integral throughout). Each
+    update rebinds a row of the working list, so `rows` is never changed."""
+    A = list(rows)
     m = len(A)
     if m == 0:
         return 0

@@ -86,6 +86,9 @@ class Realization:
 
 @dataclass(frozen=True)
 class RigidityMatrix:
+    """R(G,p): rows hold the integer coordinate differences, and over a
+    prime field they stand for their residues."""
+
     d: int
     n: int
     field: Optional[int]
@@ -171,24 +174,15 @@ def rigidity_matrix(g: Graph, r: Realization) -> RigidityMatrix:
     if len(r.coords) != g.n:
         raise ValueError("realization does not cover the vertex set")
     d = r.d
-    p = r.field
     rows = []
     for u, v in g.edges:
         row = [0] * (d * g.n)
         pu, pv = r.coords[u], r.coords[v]
         for k in range(d):
-            diff = pu[k] - pv[k]
-            if p is not None:
-                diff %= p
-            row[d * u + k] = diff
-            row[d * v + k] = -diff if p is None else (p - diff) % p
+            row[d * u + k] = pu[k] - pv[k]
+            row[d * v + k] = pv[k] - pu[k]
         rows.append(tuple(row))
-    return RigidityMatrix(d=d, n=g.n, field=p, rows=tuple(rows))
-
-
-def _matrix_rows(g: Graph, d: int, seed: int, p: Optional[int]) -> list[list[int]]:
-    r = random_realization(g, d, seed, field=p)
-    return [list(row) for row in rigidity_matrix(g, r).rows]
+    return RigidityMatrix(d=d, n=g.n, field=r.field, rows=tuple(rows))
 
 
 def sz_bound(count_ub: int, p: int, trials: int) -> float:
@@ -414,7 +408,7 @@ def _evaluate(
     first_null = want_null and (g.m > ub or trials == 1)
 
     def point(point_seed: int, prime: int, null: bool) -> _Point:
-        rows = _matrix_rows(g, d, point_seed, prime)
+        rows = rigidity_matrix(g, random_realization(g, d, point_seed, field=prime)).rows
         if null:
             return rank_and_left_null_mod_p(rows, prime)
         return rank_mod_p(rows, prime), None
@@ -614,7 +608,7 @@ def stress_support(
     and each edge outside it deterministically leaves a dependent deletion.
     """
     rng = random.Random(seed)
-    rows = _matrix_rows(g, d, rng.getrandbits(63), p)
+    rows = rigidity_matrix(g, random_realization(g, d, rng.getrandbits(63), field=p)).rows
     rank, null = rank_and_left_null_mod_p(rows, p)
     if len(null) != 1:
         return None
@@ -623,5 +617,4 @@ def stress_support(
 
 def rank_rational(g: Graph, d: int, seed: int = 0) -> int:
     """Exact rank over Q at integer coordinates (cross-check path)."""
-    rows = _matrix_rows(g, d, seed, None)
-    return rank_exact_int(rows)
+    return rank_exact_int(rigidity_matrix(g, random_realization(g, d, seed, field=None)).rows)

@@ -205,7 +205,6 @@ def classify_flexible_circuits(
     checks: list[dict] = []
     found: list[str] = []
     survivors = 0
-    unresolved = 0
     for n in range(d + 2, n_max + 1):
         edge_min = math.ceil(n * (d + 1) / 2)
         edge_max = d * n - math.comb(d + 1, 2)
@@ -217,7 +216,6 @@ def classify_flexible_circuits(
             survivors += 1
             flex, v = is_flexible_circuit(g, d, seed=seed + survivors)
             if flex is None:
-                unresolved += 1
                 checks.append({"name": f"unresolved-#{survivors}",
                                "ok": None, **v.to_json(g)})
             elif flex:
@@ -382,7 +380,7 @@ def _suite_field_agreement(rng: random.Random) -> dict:
         d = rng.randrange(1, 5)
         g = random_graph(rng, n, rng.uniform(0.3, 0.8))
         s = rng.getrandbits(32)
-        rows = [list(r) for r in rigidity_matrix(g, random_realization(g, d, s, field=None)).rows]
+        rows = rigidity_matrix(g, random_realization(g, d, s, field=None)).rows
         exact = rank_exact_int(rows)
         modular = rank_mod_p(rows)
         if exact != modular:
@@ -393,19 +391,21 @@ def _suite_field_agreement(rng: random.Random) -> dict:
 
 def _suite_edge_deletion(rng: random.Random) -> dict:
     failures = []
+    checked = 0
     for i in range(50):
         n = rng.randrange(4, 9)
         d = rng.randrange(1, 4)
         g = random_graph(rng, n, rng.uniform(0.3, 0.8))
         if g.m == 0:
             continue
+        checked += 1
         r = generic_rank(g, d, seed=rng.getrandbits(32)).rank_lb
         for e in g.edges:
             re = generic_rank(g.without_edge(*e), d, seed=rng.getrandbits(32)).rank_lb
             if re not in (r - 1, r):
                 failures.append({"i": i, "graph6": g.to_graph6(), "d": d, "edge": e})
                 break
-    return _suite("edge-deletion-monotonicity", 50, failures)
+    return _suite("edge-deletion-monotonicity", checked, failures)
 
 
 def _suite_cycle_matroid(rng: random.Random) -> dict:

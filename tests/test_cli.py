@@ -188,10 +188,14 @@ class TestUsage:
         assert out == "" and message in err
 
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
-        # K_22 is dependent at d=3, and its whole vertex set is its 4-core
-        monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(22).to_graph6() + "\n"))
-        assert main(["check", "independent"]) == 3
-        assert "error:" in capsys.readouterr().err
+        # K_21 and K_22 are dependent at d=3, and each is its own 4-core: a
+        # valid input out of range, refused with one line and no traceback
+        for argv, n in [(["check", "independent"], 22), (["rank", "-d", "3"], 21)]:
+            monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(n).to_graph6() + "\n"))
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "error: subset search limited to a (d+1)-core of <= 20 vertices\n"
 
 
 class TestOps:

@@ -121,6 +121,10 @@ def test_entries_are_reduced_and_rows_left_unchanged():
             assert rank_mod_p(A, p) == rank_mod_p(reduced, p)
             assert rank_and_left_null_mod_p(A, p) == rank_and_left_null_mod_p(reduced, p)
             assert rank_and_left_null_mod_p(reduced, p) == augmented_rank_and_left_null(reduced, p)
+            rows = tuple(map(tuple, A))  # any sequences of rows read the same
+            assert rank_mod_p(rows, p) == rank_mod_p(A, p)
+            assert rank_and_left_null_mod_p(rows, p) == rank_and_left_null_mod_p(A, p)
+            assert rank_exact_int(rows) == rank_exact_int(A)
             assert A == before
 
 
@@ -256,7 +260,7 @@ REFERENCE_GRAPHS = _reference_graphs()
 @pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
 def test_rigidity_matrices_match_list_elimination(monkeypatch, name, p):
     g, d = REFERENCE_GRAPHS[name]
-    rows = [list(r) for r in rigidity_matrix(g, random_realization(g, d, 7, field=p)).rows]
+    rows = rigidity_matrix(g, random_realization(g, d, 7, field=p)).rows
     got = rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p)
     monkeypatch.setattr(linalg, "_eliminate", list_eliminate)
     assert got == (rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p))

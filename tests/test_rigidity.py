@@ -77,16 +77,19 @@ class TestRigidityMatrix:
     def test_blocks_are_negatives(self):
         g = complete_graph(5)
         d = 3
-        r = random_realization(g, d, seed=2)
-        m = rigidity_matrix(g, r)
-        p = DEFAULT_PRIME
-        for (u, v), row in zip(g.edges, m.rows):
-            bu = row[d * u: d * u + d]
-            bv = row[d * v: d * v + d]
-            assert all((a + b) % p == 0 for a, b in zip(bu, bv))
-            others = set(range(g.n)) - {u, v}
-            for w in others:
-                assert all(x == 0 for x in row[d * w: d * w + d])
+        for p in (32749, DEFAULT_PRIME):
+            r = random_realization(g, d, seed=2, field=p)
+            m = rigidity_matrix(g, r)
+            assert m.field == p
+            for (u, v), row in zip(g.edges, m.rows):
+                bu = row[d * u: d * u + d]
+                bv = row[d * v: d * v + d]
+                diffs = [(a - b) % p for a, b in zip(r.coords[u], r.coords[v])]
+                assert [x % p for x in bu] == diffs
+                assert bv == tuple(-x for x in bu)
+                others = set(range(g.n)) - {u, v}
+                for w in others:
+                    assert all(x == 0 for x in row[d * w: d * w + d])
 
     def test_coverage_mismatch_rejected(self):
         g = complete_graph(3)

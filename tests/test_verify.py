@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -52,6 +53,12 @@ class TestReportMechanics:
         a = verify_families(3, seed=42)
         b = verify_families(3, seed=42)
         assert strip_time(a.to_json()) == strip_time(b.to_json())
+
+    def test_edge_deletion_counts_the_graphs_it_checks(self):
+        # verify_structure_suites(seed) draws this suite from seed + 3; at
+        # seed 2 draw #37 is an edgeless graph, which is skipped
+        assert verify._suite_edge_deletion(random.Random(2 + 3))["instances"] == 49
+        assert verify._suite_edge_deletion(random.Random(20260801 + 3))["instances"] == 50
 
     def test_classification_reproducible(self):
         a = classify_flexible_circuits(3, 7, seed=1)
