@@ -2,14 +2,19 @@
 fraction-free integer elimination for the rational cross-check path.
 
 Matrices come in as sequences of rows, each a sequence of Python ints; they
-are read and never changed. Over F_p each row is reduced mod p, here and
-nowhere else, and packed into one int, with one lane of W = 64*w bits per
-column: column c holds bits W*c .. W*c + W - 1. Adding a multiple of one
-row to another is then one big-int multiply-add over all its columns, and
-`_eliminate` explains why no lane ever carries into the next. Each row also
-carries a mask whose byte c is nonzero when column c may be nonzero in the
-row, so a column's pivot search and updates read only the rows that can
-hold an entry there.
+are read and never changed. Over F_p each row is packed into one int, here
+and nowhere else, with one lane of W = 64*w bits per column: column c holds
+bits W*c .. W*c + W - 1. Adding a multiple of one row to another is then
+one big-int multiply-add over all its columns, and `_eliminate` explains
+why no lane ever carries into the next. Each row also carries a mask whose
+byte c is nonzero when column c may be nonzero in the row, so a column's
+pivot search and updates read only the rows that can hold an entry there.
+
+A packed lane starts below 2p and stands for its residue. Rows of any other
+matrix are reduced mod p cell by cell (`_pack`). The rows of a rigidity
+matrix at a point, `_PointRows`, are packed straight from the coordinates
+(`_pack_point`), with no cell list and no per-cell reduction; a lane there
+may hold p, so its mask byte reads "may be nonzero", not "is nonzero".
 """
 
 from __future__ import annotations
@@ -93,9 +98,11 @@ def _eliminate(
     2^t the quotient estimate lies in (x/p - 2, x/p], so the lane ends in
     [0, 2p), inside the 3p that t allows for.
 
-    Why no lane carries: a row starts with lanes below p and gains less
-    than p * 3p per lane from each pivot, at most m - 1 times, so every
-    lane stays below 3p^2(m + 1) < 2^t with t = (3*p*p*(m + 1)).bit_length().
+    Why no lane carries: a row starts with lanes below 2p (`_pack` and
+    `_pack_point`), and each pivot row it takes, f < p times lanes below 2p,
+    adds less than 2p^2 per lane, at most m - 1 times. So every lane stays
+    below 2p + 2p^2(m - 1) < 3p^2(m + 1) < 2^t with
+    t = (3*p*p*(m + 1)).bit_length().
     A lane's product with mu is then below 2^(t + mu.bit_length()) <= 2^W,
     so `x * mu` keeps each lane's product inside the lane, and after the
     shift by t qmask drops the bits that came down from the lane above. The
@@ -110,7 +117,8 @@ def _eliminate(
     m = len(rows)
     if m == 0:
         return 0
-    ncols = len(rows[0])
+    point = isinstance(rows, _PointRows)
+    ncols = rows.d * len(rows.coords) if point else len(rows[0])
     t = (3 * p * p * (m + 1)).bit_length()
     mu = (1 << t) // p
     words = -(-(t + mu.bit_length()) // 64)
@@ -118,7 +126,7 @@ def _eliminate(
     lane = (1 << width) - 1
     qmask = int.from_bytes((b"\1" + bytes(8 * words - 1)) * ncols, "little")
     qmask *= (1 << width - t) - 1
-    packed, masks = _pack(rows, p, words)
+    packed, masks = _pack_point(rows, p, words) if point else _pack(rows, p, words)
     rank = 0
     for c in range(ncols):
         shift = width * c
@@ -170,24 +178,80 @@ def _pack(
     m, ncols = len(rows), len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError("matrix rows differ in length")
-    cells = [v % p for v in chain.from_iterable(rows)]
+    data = _lanes([v % p for v in chain.from_iterable(rows)], p, words)
     lane_bytes = 8 * words
-    if p >> 64:  # a cell may not fit one array word
-        data = b"".join(v.to_bytes(lane_bytes, "little") for v in cells)
-    else:
-        a = array("Q", bytes(lane_bytes * len(cells)))
-        a[::words] = array("Q", cells)
-        if sys.byteorder == "big":
-            a.byteswap()
-        data = a.tobytes()
     flags = 0
     for k in range((p.bit_length() + 7) // 8):
         flags |= int.from_bytes(data[k::lane_bytes], "little")
-    flag_bytes = flags.to_bytes(len(cells), "little")
+    flag_bytes = flags.to_bytes(m * ncols, "little")
     size = lane_bytes * ncols
     packed = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(m)]
     masks = [int.from_bytes(flag_bytes[i * ncols:(i + 1) * ncols], "little")
              for i in range(m)]
+    return packed, masks
+
+
+def _lanes(cells: list[int], p: int, words: int) -> bytes:
+    """Cells in [0, p), each as a lane of `words` little-endian 64-bit words."""
+    lane_bytes = 8 * words
+    if p >> 64:  # a cell may not fit one array word
+        return b"".join(v.to_bytes(lane_bytes, "little") for v in cells)
+    a = array("Q", bytes(lane_bytes * len(cells)))
+    a[::words] = array("Q", cells)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a.tobytes()
+
+
+class _PointRows(Sequence):
+    """The rows of the rigidity matrix R(G,p) at a point: for the edge
+    (u, v), x_u - x_v in vertex block u (columns d*u .. d*u + d - 1), its
+    negation in block v and zeros elsewhere, x_w being the d coordinates of
+    vertex w. A row is built only when read; `_eliminate` packs the rows
+    straight from the coordinates instead (`_pack_point`)."""
+
+    def __init__(
+        self, d: int, edges: Sequence[tuple[int, int]], coords: Sequence[Sequence[int]]
+    ) -> None:
+        self.d, self.edges, self.coords = d, edges, coords
+
+    def __len__(self) -> int:
+        return len(self.edges)
+
+    def __getitem__(self, i: int) -> tuple[int, ...]:
+        u, v = self.edges[i]
+        d = self.d
+        row = [0] * (d * len(self.coords))
+        for k, (a, b) in enumerate(zip(self.coords[u], self.coords[v])):
+            row[d * u + k] = a - b
+            row[d * v + k] = b - a
+        return tuple(row)
+
+
+def _pack_point(rows: _PointRows, p: int, words: int) -> tuple[list[int], list[int]]:
+    """`_pack` for the rows of R(G,p), from the coordinates alone.
+
+    Vertex w's block B_w holds its coordinates mod p, one per lane, and P
+    holds p in every lane of a block. The edge (u, v) puts D = B_u - B_v + P
+    in block u and 2P - D in block v, whose lanes are x_u - x_v + p and
+    x_v - x_u + p: both in [1, 2p), so neither subtraction borrows across
+    lanes. Each mask flags both blocks whole, as "may be nonzero", since a
+    lane holds p where two coordinates agree.
+    """
+    d = rows.d
+    lane_bytes = 8 * words
+    size = lane_bytes * d
+    data = _lanes([x % p for x in chain.from_iterable(rows.coords)], p, words)
+    blocks = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    P = p * int.from_bytes((b"\1" + bytes(lane_bytes - 1)) * d, "little")
+    P2 = 2 * P
+    step = 8 * size  # bits per vertex block
+    packed = []
+    for u, v in rows.edges:
+        diff = blocks[u] - blocks[v] + P
+        packed.append((diff << step * u) + (P2 - diff << step * v))
+    ones = int.from_bytes(b"\1" * d, "little")
+    masks = [(ones << 8 * d * u) + (ones << 8 * d * v) for u, v in rows.edges]
     return packed, masks
 
 

@@ -28,7 +28,9 @@ Work per verdict
 A verdict computes each structural fact of (graph, d) at most once: the
 count bound, the sparsity report (a search inside the (d+1)-core, see
 `is_d_sparse`) and the small vertex cut (max-flow vertex connectivity,
-`graph.is_k_connected`). Each random point is eliminated once.
+`graph.is_k_connected`). Each random point is eliminated once, its rows
+packed straight from the coordinates (`linalg._PointRows`) with no matrix
+built.
 
 The first point's seed is evaluated first modulo the 15-bit prime 32749,
 where the packed elimination needs one 64-bit word per column. A rank
@@ -45,7 +47,9 @@ after a point at p that fell short of |E|, or at a sole point. Independent
 graphs therefore cost one plain elimination. Its per-edge fallback needs
 only whether each G-e is independent: a deletion that keeps a sparsity
 violator is dependent with no point evaluated and no cut searched, and
-only the d-sparse deletions are evaluated.
+only the d-sparse deletions are evaluated. When G is not d-sparse and e
+has an end outside G's (d+1)-core, G-e keeps G's largest violator, which
+lies inside that core, so that deletion costs no second sparsity search.
 """
 
 from __future__ import annotations
@@ -58,7 +62,13 @@ from functools import cached_property
 from typing import Optional
 
 from .graph import Graph, _bits, is_k_connected
-from .linalg import DEFAULT_PRIME, rank_and_left_null_mod_p, rank_exact_int, rank_mod_p
+from .linalg import (
+    DEFAULT_PRIME,
+    _PointRows,
+    rank_and_left_null_mod_p,
+    rank_exact_int,
+    rank_mod_p,
+)
 
 # Dependence claims with a Monte Carlo failure bound above this are unresolved.
 DEFAULT_THRESHOLD = 2.0**-80
@@ -173,16 +183,8 @@ def random_realization(
 def rigidity_matrix(g: Graph, r: Realization) -> RigidityMatrix:
     if len(r.coords) != g.n:
         raise ValueError("realization does not cover the vertex set")
-    d = r.d
-    rows = []
-    for u, v in g.edges:
-        row = [0] * (d * g.n)
-        pu, pv = r.coords[u], r.coords[v]
-        for k in range(d):
-            row[d * u + k] = pu[k] - pv[k]
-            row[d * v + k] = pv[k] - pu[k]
-        rows.append(tuple(row))
-    return RigidityMatrix(d=d, n=g.n, field=r.field, rows=tuple(rows))
+    rows = tuple(_PointRows(r.d, g.edges, r.coords))
+    return RigidityMatrix(d=r.d, n=g.n, field=r.field, rows=rows)
 
 
 def sz_bound(count_ub: int, p: int, trials: int) -> float:
@@ -350,9 +352,9 @@ def dependent_by_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
 
 class _Facts:
     """The structural facts one verdict consults about (graph, d): the count
-    bound, the sparsity report, a vertex cut of size <= d-1, and the cut
-    that proves dependence. Each is computed at most once, when first asked
-    for, and lives only as long as the verdict that holds it."""
+    bound, the sparsity report, the (d+1)-core, a vertex cut of size <= d-1,
+    and the cut that proves dependence. Each is computed at most once, when
+    first asked for, and lives only as long as the verdict that holds it."""
 
     def __init__(self, g: Graph, d: int) -> None:
         self.g = g
@@ -362,6 +364,18 @@ class _Facts:
     @cached_property
     def sparsity(self) -> SparsityReport:
         return is_d_sparse(self.g, self.d)
+
+    @cached_property
+    def core(self) -> int:
+        """Bitmask of the (d+1)-core."""
+        return _core(self.g.adj, self.d + 1)
+
+    def keeps_violator(self, u: int, v: int) -> bool:
+        """Whether G - uv is known not to be d-sparse from G's facts alone:
+        G is not d-sparse and u or v lies outside the (d+1)-core. A largest
+        violator of G lies inside that core (the peeling lemma of
+        `is_d_sparse`), so uv is none of its edges and it survives."""
+        return not self.sparsity.sparse and not self.core >> u & self.core >> v & 1
 
     @cached_property
     def cut(self) -> Optional[frozenset[int]]:
@@ -408,7 +422,8 @@ def _evaluate(
     first_null = want_null and (g.m > ub or trials == 1)
 
     def point(point_seed: int, prime: int, null: bool) -> _Point:
-        rows = rigidity_matrix(g, random_realization(g, d, point_seed, field=prime)).rows
+        coords = random_realization(g, d, point_seed, field=prime).coords
+        rows = _PointRows(d, g.edges, coords)
         if null:
             return rank_and_left_null_mod_p(rows, prime)
         return rank_mod_p(rows, prime), None
@@ -535,7 +550,8 @@ def is_circuit(
     points. Remaining cases fall back to per-edge checks, each of which
     needs only whether G-e is independent: a deletion that keeps a sparsity
     violator is dependent without a point, and only the d-sparse ones are
-    evaluated.
+    evaluated. G-e is searched for a violator only when G is d-sparse or e
+    lies inside G's (d+1)-core (`_Facts.keeps_violator`).
     """
     m = g.m
     facts = _Facts(g, d)
@@ -568,16 +584,16 @@ def is_circuit(
     # fall back to explicit per-edge checks with fresh points
     for e in g.edges:
         sub_seed = rng.getrandbits(63)  # drawn for every deletion: later seeds stay put
-        sub = _Facts(g.without_edge(*e), d)
-        if sub.sparsity.sparse:
+        sub = None if facts.keeps_violator(*e) else _Facts(g.without_edge(*e), d)
+        if sub is None or not sub.sparsity.sparse:
+            circuit, sub_bound = False, 0.0  # G-e keeps a sparsity violator
+        else:
             sub_points, sub_prime, _ = _evaluate(sub, trials, sub_seed, p, want_null=False)
             subv = _assess(sub, sub_points, sub_prime, threshold)
             if subv.independent:
                 continue
             circuit = False if subv.independent is False else None
             sub_bound = subv.certificate.failure_bound
-        else:
-            circuit, sub_bound = False, 0.0  # G-e keeps a sparsity violator
         cert = verdict.certificate
         if circuit is False and cert.kind == CERT_MONTE_CARLO:
             # the claim now also rests on the deletion's dependence
@@ -608,8 +624,8 @@ def stress_support(
     and each edge outside it deterministically leaves a dependent deletion.
     """
     rng = random.Random(seed)
-    rows = rigidity_matrix(g, random_realization(g, d, rng.getrandbits(63), field=p)).rows
-    rank, null = rank_and_left_null_mod_p(rows, p)
+    r = random_realization(g, d, rng.getrandbits(63), field=p)
+    rank, null = rank_and_left_null_mod_p(_PointRows(d, g.edges, r.coords), p)
     if len(null) != 1:
         return None
     return frozenset(e for e, x in zip(g.edges, null[0]) if x)

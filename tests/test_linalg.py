@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -256,11 +257,46 @@ def _reference_graphs():
 REFERENCE_GRAPHS = _reference_graphs()
 
 
-@pytest.mark.parametrize("p", (32749, DEFAULT_PRIME))
+def eliminations(rows, p):
+    """Rank, multiplier log, left null space and plain rank of `rows`."""
+    log = [(i, []) for i in range(len(rows))]
+    rank = linalg._eliminate(rows, p, log)
+    return rank, log, rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p)
+
+
+# 2 and 5 make coincident coordinates, lanes that hold p, common; 2^89 - 1
+# packs each cell through bytes, not array("Q")
+@pytest.mark.parametrize("p", (2, 5, 101, 32749, DEFAULT_PRIME, 2**89 - 1))
 @pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
 def test_rigidity_matrices_match_list_elimination(monkeypatch, name, p):
+    # the matrix as `rigidity_matrix` builds it, and as the oracle passes it:
+    # rows packed straight from the point
     g, d = REFERENCE_GRAPHS[name]
-    rows = rigidity_matrix(g, random_realization(g, d, 7, field=p)).rows
-    got = rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p)
+    r = random_realization(g, d, 7, field=p)
+    rows = rigidity_matrix(g, r).rows
+    got = [eliminations(rows, p), eliminations(linalg._PointRows(d, g.edges, r.coords), p)]
     monkeypatch.setattr(linalg, "_eliminate", list_eliminate)
-    assert got == (rank_and_left_null_mod_p(rows, p), rank_mod_p(rows, p))
+    assert got == [eliminations(rows, p)] * 2
+
+
+def test_point_rows_equal_dense_rows():
+    # edge cases of the rows packed from a point: no edges, n <= d + 1,
+    # coordinates outside [0, p), and coincident coordinates, whose lanes
+    # hold p under a "may be nonzero" mask; the rows read back as R(G,p)
+    rng = random.Random(18)
+    cases = [(0, 2, ()), (1, 3, ()), (2, 3, ((0, 1),))]
+    for _ in range(60):
+        n, d = rng.randrange(2, 10), rng.randrange(1, 5)
+        cases.append((n, d, tuple(e for e in itertools.combinations(range(n), 2)
+                                  if rng.random() < rng.random())))
+    for p in (*PRIMES, 2**89 - 1):
+        for n, d, edges in cases:
+            span = rng.choice((1, 2, 3, p, 2 * p))
+            coords = [[rng.randrange(-span, span) for _ in range(d)] for _ in range(n)]
+            point = linalg._PointRows(d, edges, coords)
+            dense = [[0] * (d * n) for _ in edges]
+            for row, (u, v) in zip(dense, edges):
+                row[d * u:d * u + d] = [a - b for a, b in zip(coords[u], coords[v])]
+                row[d * v:d * v + d] = [b - a for a, b in zip(coords[u], coords[v])]
+            assert list(point) == list(map(tuple, dense))
+            assert eliminations(point, p) == eliminations(dense, p), (p, n, d, edges)

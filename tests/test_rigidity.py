@@ -318,9 +318,30 @@ class TestWorkPerVerdict:
         flex, v = is_flexible_circuit(g, 3)
         assert [c for c in calls if c[1] is not None] == [("rank_and_left_null_mod_p", Q)]
         assert calls.count(("small_cut", None)) == 0
+        assert calls.count(("is_d_sparse", None)) == 1  # 0 lies outside the 4-core
         assert flex is False and v.to_json() == {
             "d": 3, "rank_lb": 12, "count_ub": 12, "trials": 1, "primes": [Q],
             "certificate": {"kind": CERT_DEPENDENT_COUNT, "witness": [0, 1, 2, 3, 4, 5]},
+            "flags": {"independent": False, "rigid": True, "circuit": False,
+                      "flexible_circuit": False},
+        }
+
+    def test_deletion_outside_the_core_needs_no_sweep(self, calls):
+        # built like oracle-mix's dependent graphs: K_4 on 1..4 grown by
+        # 0-extensions to a minimally rigid graph on 1..7, the edge (3, 7)
+        # added, and a vertex 0 of degree 3 joined to the highest labels. The
+        # first deletion, (0, 5), has an end outside the 4-core, so G's own
+        # sparsity report settles it: one sweep and one elimination in all
+        g = Graph(8, tuple(itertools.combinations(range(1, 5), 2)) + (
+            (1, 5), (2, 5), (3, 5), (2, 6), (4, 6), (5, 6), (1, 7), (5, 7), (6, 7),
+            (3, 7), (0, 5), (0, 6), (0, 7)))
+        flex, v = is_flexible_circuit(g, 3)
+        assert [c for c in calls if c[1] is not None] == [("rank_and_left_null_mod_p", Q)]
+        assert calls.count(("is_d_sparse", None)) == 1
+        assert calls.count(("small_cut", None)) == 0
+        assert flex is False and v.to_json() == {
+            "d": 3, "rank_lb": 18, "count_ub": 18, "trials": 1, "primes": [Q],
+            "certificate": {"kind": CERT_DEPENDENT_COUNT, "witness": list(range(8))},
             "flags": {"independent": False, "rigid": True, "circuit": False,
                       "flexible_circuit": False},
         }
@@ -399,6 +420,40 @@ class TestProperties:
             assert a.flags() == b.flags() and a.rank_lb == b.rank_lb
             assert a.certificate.kind == b.certificate.kind
             assert a.certificate.failure_bound == b.certificate.failure_bound
+
+    def test_deletion_outside_the_core_keeps_a_violator(self, rng):
+        # G not d-sparse: the per-edge fallback of is_circuit takes G - e as
+        # dependent, unswept, exactly when e has an end outside the
+        # (d+1)-core, and each such G - e is indeed not d-sparse
+        from rigikit.rigidity import _Facts
+
+        def core(g, k):  # reference peel, one round at a time
+            alive = set(range(g.n))
+            while low := {v for v in alive if len(alive.intersection(g.neighbors(v))) < k}:
+                alive -= low
+            return alive
+
+        outside = inside = 0
+        while outside < 300 or inside < 300:
+            d = rng.randrange(1, 5)
+            k = rng.randrange(d + 2, d + 6)  # a dense part, then sparser vertices
+            es = [e for e in itertools.combinations(range(k), 2) if rng.random() < 0.85]
+            n = k + rng.randrange(1, 6)
+            for v in range(k, n):
+                es += [(u, v) for u in rng.sample(range(v), min(v, rng.randrange(1, d + 3)))]
+            g = Graph(n, tuple(es))
+            facts = _Facts(g, d)
+            if facts.sparsity.sparse:
+                continue
+            c = core(g, d + 1)
+            for u, v in g.edges:
+                skipped = facts.keeps_violator(u, v)
+                assert skipped is not (u in c and v in c), (g.to_graph6(), d, (u, v))
+                if skipped:
+                    assert not is_d_sparse(g.without_edge(u, v), d).sparse
+                    outside += 1
+                else:
+                    inside += 1
 
     def test_cycle_matroid_d1(self, rng):
         for _ in range(30):
