@@ -50,6 +50,26 @@ violator is dependent with no point evaluated and no cut searched, and
 only the d-sparse deletions are evaluated. When G is not d-sparse and e
 has an end outside G's (d+1)-core, G-e keeps G's largest violator, which
 lies inside that core, so that deletion costs no second sparsity search.
+
+A verdict's points often settle the sparsity report with no search at
+all. Write excess(X) = |E(X)| - (d|X| - C(d+1,2)) and r_p for the rank at
+a point. For every vertex set X with |X| >= d+2,
+
+    excess(X) <= |E(X)| - r_p(E(X)) <= |E| - r_p(E),
+
+since r_p is at most the generic rank, which is at most d|X| - C(d+1,2),
+and the rows outside E(X) raise the rank by at most their number. So on
+n >= d+2 vertices (`_Facts.settle_sparsity`):
+
+* rank rule: a point of rank d|V| - C(d+1,2) < |E| makes V a set of the
+  largest excess, |E| minus that rank, and no other set is as large;
+* null-vector rule: a point of rank |E|-1 whose one left null vector has
+  no zero entry leaves every proper edge subset independent, so excess(X)
+  <= 0 unless E(X) = E. With no isolated vertex only V spans E, so G is
+  d-sparse when |E| <= d|V| - C(d+1,2), tight at equality, and otherwise
+  V is the violator as in the rank rule.
+
+Only a graph its points do not settle is searched (`is_d_sparse`).
 """
 
 from __future__ import annotations
@@ -171,12 +191,23 @@ def random_realization(
     g: Graph, d: int, seed: int, field: Optional[int] = DEFAULT_PRIME
 ) -> Realization:
     """Coordinates drawn uniformly from [0, p); with field=None the same
-    integers are kept exact for the rational path."""
+    integers are kept exact for the rational path.
+
+    The coordinates, vertex by vertex, are those `random.Random(seed)`
+    gives for successive `randrange(span)` calls: k-bit draws,
+    k = span.bit_length(), each kept when below span. Every draw has the
+    same k, so the kept draws of the whole stream, in order, are the
+    coordinates, and they are taken in batches."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     span = field if field is not None else DEFAULT_PRIME
-    coords = tuple(tuple(rng.randrange(span) for _ in range(d)) for _ in range(g.n))
+    k, want = span.bit_length(), g.n * d
+    flat: list[int] = []
+    while len(flat) < want:
+        draws = map(getrandbits, itertools.repeat(k, want - len(flat)))
+        flat += [x for x in draws if x < span]
+    coords = tuple(zip(*[iter(flat)] * d))
     return Realization(d=d, coords=coords, field=field)
 
 
@@ -350,11 +381,31 @@ def dependent_by_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
     return _Facts(g, d).dependence_cut
 
 
+# a trial point: the rank there, and a left null space basis when computed
+_Point = tuple[int, Optional[list[list[int]]]]
+
+
+def _full_stress(points: list[_Point], m: int) -> bool:
+    """Whether some point has rank m-1 and its one left null vector no zero
+    entry: every single-row deletion is then full-row-rank there."""
+    return any(r == m - 1 and null is not None and len(null) == 1 and all(null[0])
+               for r, null in points)
+
+
 class _Facts:
     """The structural facts one verdict consults about (graph, d): the count
     bound, the sparsity report, the (d+1)-core, a vertex cut of size <= d-1,
     and the cut that proves dependence. Each is computed at most once, when
-    first asked for, and lives only as long as the verdict that holds it."""
+    first asked for, and lives only as long as the verdict that holds it.
+
+    The verdict's points settle the sparsity report when they can
+    (`settle_sparsity`). At a point of rank r_p, every vertex set X with
+    >= d+2 vertices has excess(X) <= |E(X)| - r_p(E(X)) <= |E| - r_p(E).
+    So on n >= d+2 vertices a rank d|V| - C(d+1,2) < |E| makes V the
+    largest set of the largest excess, |E| - r_p (the rank rule), and a
+    nowhere-zero stress with no isolated vertex leaves V the only set that
+    can exceed the count (the null-vector rule). Otherwise `is_d_sparse`
+    searches."""
 
     def __init__(self, g: Graph, d: int) -> None:
         self.g = g
@@ -364,6 +415,20 @@ class _Facts:
     @cached_property
     def sparsity(self) -> SparsityReport:
         return is_d_sparse(self.g, self.d)
+
+    def settle_sparsity(self, points: list[_Point]) -> None:
+        """Fill `sparsity`, before it is first read, when the rank rule or
+        the null-vector rule settles it at these points."""
+        g, d = self.g, self.d
+        if g.n < d + 2 or "sparsity" in vars(self):
+            return
+        target = rigidity_target(g, d)
+        rank = max(r for r, _ in points)
+        if rank == target < g.m or (_full_stress(points, g.m) and all(g.adj)):
+            excess = max(g.m - target, 0)
+            self.sparsity = SparsityReport(
+                d=d, sparse=not excess, tight=g.m == target, excess=excess,
+                violator=frozenset(range(g.n)) if excess else None)
 
     @cached_property
     def core(self) -> int:
@@ -387,9 +452,6 @@ class _Facts:
         vertices a tight graph is complete or has n <= d, so it has no cut."""
         return self.cut if self.sparsity.tight else None
 
-
-# a trial point: the rank there, and a left null space basis when computed
-_Point = tuple[int, Optional[list[list[int]]]]
 
 # The largest prime below 2^15: the packed elimination modulo it keeps each
 # column in one 64-bit word for matrices of up to ~170 rows, where the
@@ -464,6 +526,7 @@ def _assess(
 ) -> MatroidVerdict:
     """The verdict on points taken at `prime`. Points at _SMALL_PRIME meet
     the count bound, so every flag they settle is deterministic."""
+    facts.settle_sparsity(points)
     g, d, ub = facts.g, facts.d, facts.ub
     m = g.m
     rank_lb = max(rank for rank, _ in points)
@@ -578,9 +641,8 @@ def is_circuit(
     circuit_verdict = replace(verdict, circuit=True, flexible_circuit=flexible,
                               rigid=not flexible)
     # stress support fast path at the evaluated points
-    for rank, null in points:
-        if rank == m - 1 and null is not None and len(null) == 1 and all(null[0]):
-            return True, circuit_verdict
+    if _full_stress(points, m):
+        return True, circuit_verdict
     # fall back to explicit per-edge checks with fresh points
     for e in g.edges:
         sub_seed = rng.getrandbits(63)  # drawn for every deletion: later seeds stay put

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -188,14 +189,32 @@ class TestUsage:
         assert out == "" and message in err
 
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
-        # K_21 and K_22 are dependent at d=3, and each is its own 4-core: a
-        # valid input out of range, refused with one line and no traceback
-        for argv, n in [(["check", "independent"], 22), (["rank", "-d", "3"], 21)]:
-            monkeypatch.setattr("sys.stdin", io.StringIO(complete_graph(n).to_graph6() + "\n"))
+        # two disjoint K_11 are dependent at d=3 and their own 4-core of 22
+        # vertices; their rank, 54, falls short of the count 60, so no point
+        # settles the sparsity report and the search is refused: a valid
+        # input out of range, refused with one line and no traceback
+        k11 = tuple(itertools.combinations(range(11), 2))
+        g = Graph(22, k11 + tuple((u + 11, v + 11) for u, v in k11))
+        for argv in (["check", "independent"], ["rank", "-d", "3"]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(g.to_graph6() + "\n"))
             assert main(argv) == 3
             out, err = capsys.readouterr()
             assert out == ""
             assert err == "error: subset search limited to a (d+1)-core of <= 20 vertices\n"
+
+    def test_rank_at_the_count_needs_no_search(self, capsys, monkeypatch):
+        # K_22 at d=3 is its own 4-core of 22 vertices too, but its point
+        # meets the count 60 < |E|, so V is the largest violator with no search
+        g6 = complete_graph(22).to_graph6()
+        for argv in (["check", "independent"], ["rank", "-d", "3"]):
+            code, out = run(capsys, argv + ["--seed", "1"], stdin=g6 + "\n",
+                            monkeypatch=monkeypatch)
+            assert code == 0
+            v = json.loads(out)
+            assert v["rank_lb"] == v["count_ub"] == 60 and v["primes"] == [32749]
+            assert v["certificate"] == {"kind": "deterministic-dependent-count",
+                                        "witness": list(range(22))}
+            assert v["flags"]["independent"] is False and v["flags"]["rigid"] is True
 
 
 class TestOps:

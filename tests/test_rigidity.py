@@ -10,6 +10,7 @@ from rigikit import (
     Realization,
     complete_bipartite,
     complete_graph,
+    cone,
     cycle_graph,
     dependent_by_cut,
     generic_rank,
@@ -17,6 +18,7 @@ from rigikit import (
     is_d_sparse,
     is_flexible_circuit,
     is_independent,
+    one_extension,
     random_realization,
     rank_rational,
     rigidity_matrix,
@@ -32,6 +34,8 @@ from rigikit.rigidity import (
     CERT_DEPENDENT_CUT,
     CERT_INDEPENDENT,
     CERT_MONTE_CARLO,
+    Certificate,
+    _core,
     count_upper_bound,
 )
 
@@ -51,6 +55,18 @@ class TestRealization:
     def test_shapes(self):
         r = random_realization(complete_graph(8), 3, seed=0)
         assert len(r.coords) == 8 and all(len(c) == 3 for c in r.coords)
+
+    @pytest.mark.parametrize("field", [1, 2, 5, Q, P, 2**89 - 1, None])
+    def test_coordinates_are_the_randrange_stream(self, field):
+        # vertex by vertex, the coordinates random.Random(seed).randrange
+        # gives; small spans reject most draws, so a batch often falls short
+        rng = random.Random(field)
+        span = P if field is None else field
+        for _ in range(60):
+            n, d, seed = rng.randrange(12), rng.randrange(1, 8), rng.getrandbits(63)
+            ref = random.Random(seed)
+            want = tuple(tuple(ref.randrange(span) for _ in range(d)) for _ in range(n))
+            assert random_realization(Graph(n), d, seed, field=field).coords == want
 
     def test_bad_coords_rejected(self):
         with pytest.raises(ValueError):
@@ -284,11 +300,14 @@ class TestWorkPerVerdict:
         return seen
 
     def test_glued_family_facts_once(self, calls):
+        # B_{d,d-1} has a nowhere-zero stress at its point, so the
+        # null-vector rule proves it d-tight with no sparsity search; the cut
+        # that then proves dependence is searched once
         for d in (3, 4, 5):
             calls.clear()
             flex, v = is_flexible_circuit(B(d, d - 1), d)
             assert flex is True and v.certificate.kind == CERT_DEPENDENT_CUT
-            assert calls.count(("is_d_sparse", None)) == 1
+            assert calls.count(("is_d_sparse", None)) == 0
             assert calls.count(("small_cut", None)) == 1
 
     @pytest.mark.parametrize("g", [B(4, 2), complete_bipartite(6, 6)],
@@ -313,12 +332,13 @@ class TestWorkPerVerdict:
     def test_deletion_settled_by_sparsity(self, calls):
         # K_5 on 1..5 and a vertex 0 of degree 3: the stress misses vertex 0's
         # edges, so the per-edge fallback runs, and deleting (0, 3) leaves the
-        # K_5, a sparsity violator
+        # K_5, a sparsity violator. The rank 12 < |E| meets the count, so the
+        # rank rule gives G's report (violator V) with no search
         g = Graph(6, tuple(itertools.combinations(range(1, 6), 2)) + ((0, 3), (0, 4), (0, 5)))
         flex, v = is_flexible_circuit(g, 3)
         assert [c for c in calls if c[1] is not None] == [("rank_and_left_null_mod_p", Q)]
         assert calls.count(("small_cut", None)) == 0
-        assert calls.count(("is_d_sparse", None)) == 1  # 0 lies outside the 4-core
+        assert calls.count(("is_d_sparse", None)) == 0  # 0 lies outside the 4-core
         assert flex is False and v.to_json() == {
             "d": 3, "rank_lb": 12, "count_ub": 12, "trials": 1, "primes": [Q],
             "certificate": {"kind": CERT_DEPENDENT_COUNT, "witness": [0, 1, 2, 3, 4, 5]},
@@ -330,14 +350,15 @@ class TestWorkPerVerdict:
         # built like oracle-mix's dependent graphs: K_4 on 1..4 grown by
         # 0-extensions to a minimally rigid graph on 1..7, the edge (3, 7)
         # added, and a vertex 0 of degree 3 joined to the highest labels. The
-        # first deletion, (0, 5), has an end outside the 4-core, so G's own
-        # sparsity report settles it: one sweep and one elimination in all
+        # rank rule gives G's sparsity report from its point, and the first
+        # deletion, (0, 5), has an end outside the 4-core, so that report
+        # settles it: no sweep and one elimination in all
         g = Graph(8, tuple(itertools.combinations(range(1, 5), 2)) + (
             (1, 5), (2, 5), (3, 5), (2, 6), (4, 6), (5, 6), (1, 7), (5, 7), (6, 7),
             (3, 7), (0, 5), (0, 6), (0, 7)))
         flex, v = is_flexible_circuit(g, 3)
         assert [c for c in calls if c[1] is not None] == [("rank_and_left_null_mod_p", Q)]
-        assert calls.count(("is_d_sparse", None)) == 1
+        assert calls.count(("is_d_sparse", None)) == 0
         assert calls.count(("small_cut", None)) == 0
         assert flex is False and v.to_json() == {
             "d": 3, "rank_lb": 18, "count_ub": 18, "trials": 1, "primes": [Q],
@@ -345,6 +366,37 @@ class TestWorkPerVerdict:
             "flags": {"independent": False, "rigid": True, "circuit": False,
                       "flexible_circuit": False},
         }
+
+    def test_core_beyond_d_plus_6_needs_no_sweep(self, calls):
+        # K_6 grown by 1-extensions to 13 vertices, each on the last edge and
+        # the four highest other labels, plus one edge: minimally rigid plus
+        # one at d=5, its whole vertex set its 6-core, which is more than d+6
+        # vertices, so a search would sweep all 2^13 subsets. The rank meets
+        # the count below |E|, and the rank rule gives the report
+        d = 5
+        g = complete_graph(d + 1)
+        while g.n < 13:
+            e = g.edges[-1]
+            others = [w for w in range(g.n) if w not in e][-(d - 1):]
+            g = one_extension(g, d, list(e) + others, e)
+        g = g.with_edge(0, 7)
+        assert _core(g.adj, d + 1).bit_count() == 13 and g.m == rigidity_target(g, d) + 1
+        flex, v = is_flexible_circuit(g, d)
+        assert calls.count(("is_d_sparse", None)) == 0
+        assert flex is False and v.rank_lb == g.m - 1
+        assert v.certificate == Certificate(CERT_DEPENDENT_COUNT, witness=frozenset(range(13)))
+
+    def test_cone_ladder_needs_no_sweep(self, calls):
+        # K_{6,6} and its cones at d=4..7 are flexible circuits: a nowhere-zero
+        # stress settles their sparsity (sparse, not tight) with no search
+        g = complete_bipartite(6, 6)
+        for d in range(4, 8):
+            calls.clear()
+            flex, v = is_flexible_circuit(g, d)
+            assert flex is True
+            assert calls.count(("is_d_sparse", None)) == 0
+            assert calls.count(("small_cut", None)) == 0
+            g = cone(g)
 
 
 class TestStressSupport:

@@ -1,8 +1,11 @@
-"""`is_d_sparse` against the exhaustive subset sweep it replaced."""
+"""`is_d_sparse` against the exhaustive subset sweep it replaced, and the
+reports a verdict's points settle against `is_d_sparse`."""
 
 import itertools
+import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,11 +18,16 @@ from rigikit import (
     complete_graph,
     cone,
     enumerate_constrained,
+    generic_rank,
+    is_circuit,
     is_d_sparse,
     one_extension,
+    rigidity_target,
     zero_extension,
 )
-from rigikit.constructions import build_glued_cliques
+from rigikit.constructions import build_glued_cliques, enumerate_glued_cliques_plus
+from rigikit.linalg import DEFAULT_PRIME
+from rigikit.rigidity import DEFAULT_TRIALS, _evaluate, _Facts
 
 
 def sweep_is_d_sparse(g: Graph, d: int) -> SparsityReport:
@@ -157,6 +165,91 @@ class TestAgainstSweep:
                                    for e in itertools.combinations(h + [shared], 2)))
                 rep = assert_matches_sweep(g, d)
                 assert rep.violator == frozenset(halves[0] + [shared])
+
+
+class TestSettledByThePoint:
+    """`_Facts.settle_sparsity`: a report that a verdict's points settle
+    equals the search's, and no verdict moves when the step is off."""
+
+    @staticmethod
+    def settled(g: Graph, d: int, seed: int):
+        """The report is_circuit's points settle for (g, d), or None."""
+        facts = _Facts(g, d)
+        points, _, _ = _evaluate(facts, DEFAULT_TRIALS, seed, DEFAULT_PRIME, want_null=True)
+        facts.settle_sparsity(points)
+        return vars(facts).get("sparsity")
+
+    @staticmethod
+    def verdicts(cases):
+        return [json.dumps([generic_rank(g, d, seed=s).to_json(g),
+                            is_circuit(g, d, seed=s)[1].to_json(g)]) for g, d, s in cases]
+
+    def check(self, cases, monkeypatch) -> Counter:
+        """Each settled report against `is_d_sparse`, and every verdict with
+        the step off; counts settled reports by sparseness."""
+        got = Counter()
+        for g, d, seed in cases:
+            rep = self.settled(g, d, seed)
+            if rep is not None:
+                assert rep == is_d_sparse(g, d), (g.to_graph6(), d, seed)
+                got[rep.sparse] += 1
+        on = self.verdicts(cases)
+        monkeypatch.setattr(_Facts, "settle_sparsity", lambda self, points: None)
+        assert self.verdicts(cases) == on
+        return got
+
+    def test_henneberg_graphs_plus_edges(self, rng, monkeypatch):
+        cases = []
+        for d in range(1, 7):
+            for n in range(d + 2, d + 10):
+                g = minimally_rigid(rng, d, n)
+                non_edges = [e for e in itertools.combinations(range(n), 2)
+                             if not g.has_edge(*e)]
+                for e in rng.sample(non_edges, min(2, len(non_edges))):
+                    cases.append((g, d, rng.getrandbits(32)))
+                    g = g.with_edge(*e)
+                cases.append((g, d, rng.getrandbits(32)))
+                if g.m > rigidity_target(g, d):  # and a degree-d vertex, as oracle-mix has
+                    cases.append((zero_extension(g, d, rng.sample(range(n), d)), d,
+                                  rng.getrandbits(32)))
+        got = self.check(cases, monkeypatch)
+        assert got[False] >= 80
+
+    def test_named_families(self, monkeypatch):
+        cases = [(build_glued_cliques(d, t).graph, d, 1) for d in range(3, 8) for t in range(2, d)]
+        cases += [(c.graph, d, 2) for d in (3, 4) for c in enumerate_glued_cliques_plus(d)]
+        g = complete_bipartite(6, 6)
+        for d in range(4, 8):  # the cone ladder over K_{6,6}
+            cases.append((g, d, 3))
+            g = cone(g)
+        got = self.check(cases, monkeypatch)
+        # flexible circuits, each d-sparse: the null-vector rule settles all
+        assert got[True] == len(cases)
+
+    def test_random_dense_graphs(self, rng, monkeypatch):
+        cases = []
+        for _ in range(150):
+            n, d = rng.randrange(2, 12), rng.randrange(1, 6)
+            g = Graph(n, tuple(e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < rng.choice((0.6, 0.8, 0.95))))
+            cases.append((g, d, rng.getrandbits(32)))
+        got = self.check(cases, monkeypatch)
+        assert got[False] >= 40
+
+    def test_what_the_point_leaves_to_the_search(self, monkeypatch):
+        # no rule fires: on n <= d+1 vertices; on K_{d+2} with an isolated
+        # vertex, a circuit whose violator is not V; on K_{d+2} with a
+        # pendant edge, whose stress is zero on that edge (at d=1 that graph
+        # exceeds the count, and the rank rule settles it)
+        cases = []
+        for d in range(1, 6):
+            k = tuple(itertools.combinations(range(d + 2), 2))
+            for g in (complete_graph(d + 1), complete_graph(d + 1).without_edge(0, 1),
+                      Graph(d + 3, k), Graph(d + 3, k + ((0, d + 2),))):
+                if g.m <= rigidity_target(g, d):
+                    assert self.settled(g, d, 5) is None, (g.to_graph6(), d)
+                cases.append((g, d, 5))
+        self.check(cases, monkeypatch)
 
 
 class TestLargeGraphs:
