@@ -25,12 +25,13 @@ threshold is reported as unresolved (None) rather than guessed.
 
 Work per verdict
 ----------------
-A verdict computes each structural fact of (graph, d) at most once: the
-count bound, the sparsity report (a search inside the (d+1)-core, see
+A verdict computes each structural fact of (graph, d) at most once, and
+one `_Facts` holds them all: the count bound and target, the verdict's
+points, the sparsity report (a search inside the (d+1)-core, see
 `is_d_sparse`) and the small vertex cut (max-flow vertex connectivity,
-`graph.is_k_connected`). Each random point is eliminated once, its rows
-packed straight from the coordinates (`linalg._PointRows`) with no matrix
-built.
+`graph.is_k_connected`). `_evaluate` fills `_Facts.points`. Each random
+point is drawn by `_point` and eliminated once, its rows packed straight
+from the coordinates (`linalg._PointRows`) with no matrix built.
 
 The first point's seed is evaluated first modulo the 15-bit prime 32749,
 where the packed elimination needs one 64-bit word per column. A rank
@@ -59,7 +60,7 @@ a point. For every vertex set X with |X| >= d+2,
 
 since r_p is at most the generic rank, which is at most d|X| - C(d+1,2),
 and the rows outside E(X) raise the rank by at most their number. So on
-n >= d+2 vertices (`_Facts.settle_sparsity`):
+n >= d+2 vertices, once the points are in (`_Facts.sparsity`):
 
 * rank rule: a point of rank d|V| - C(d+1,2) < |E| makes V a set of the
   largest excess, |E| minus that rank, and no other set is as large;
@@ -69,7 +70,8 @@ n >= d+2 vertices (`_Facts.settle_sparsity`):
   d-sparse when |E| <= d|V| - C(d+1,2), tight at equality, and otherwise
   V is the violator as in the rank rule.
 
-Only a graph its points do not settle is searched (`is_d_sparse`).
+Only a graph its points do not settle is searched (`is_d_sparse`), and so
+is one whose report is read before any point is taken.
 """
 
 from __future__ import annotations
@@ -385,6 +387,15 @@ def dependent_by_cut(g: Graph, d: int) -> Optional[frozenset[int]]:
 _Point = tuple[int, Optional[list[list[int]]]]
 
 
+def _point(g: Graph, d: int, seed: int, prime: int, null: bool) -> _Point:
+    """The rank of R(G) modulo `prime` at the point `random_realization`
+    draws from `seed`, with a left null space basis when `null` asks."""
+    rows = _PointRows(d, g.edges, random_realization(g, d, seed, field=prime).coords)
+    if null:
+        return rank_and_left_null_mod_p(rows, prime)
+    return rank_mod_p(rows, prime), None
+
+
 def _full_stress(points: list[_Point], m: int) -> bool:
     """Whether some point has rank m-1 and its one left null vector no zero
     entry: every single-row deletion is then full-row-rank there."""
@@ -393,42 +404,39 @@ def _full_stress(points: list[_Point], m: int) -> bool:
 
 
 class _Facts:
-    """The structural facts one verdict consults about (graph, d): the count
-    bound, the sparsity report, the (d+1)-core, a vertex cut of size <= d-1,
-    and the cut that proves dependence. Each is computed at most once, when
-    first asked for, and lives only as long as the verdict that holds it.
+    """The one state of a verdict on (graph, d): the count bound and target,
+    the verdict's points (`_evaluate` fills `points`), the sparsity report,
+    the (d+1)-core, a vertex cut of size <= d-1, and the cut that proves
+    dependence. Each fact is computed at most once, when first asked for,
+    and lives only as long as the verdict that holds it.
 
-    The verdict's points settle the sparsity report when they can
-    (`settle_sparsity`). At a point of rank r_p, every vertex set X with
-    >= d+2 vertices has excess(X) <= |E(X)| - r_p(E(X)) <= |E| - r_p(E).
-    So on n >= d+2 vertices a rank d|V| - C(d+1,2) < |E| makes V the
-    largest set of the largest excess, |E| - r_p (the rank rule), and a
-    nowhere-zero stress with no isolated vertex leaves V the only set that
-    can exceed the count (the null-vector rule). Otherwise `is_d_sparse`
-    searches."""
+    The point rules live in `sparsity`. At a point of rank r_p, every
+    vertex set X with >= d+2 vertices has excess(X) <= |E(X)| - r_p(E(X))
+    <= |E| - r_p(E). So on n >= d+2 vertices a rank d|V| - C(d+1,2) < |E|
+    makes V the largest set of the largest excess, |E| - r_p (the rank
+    rule), and a nowhere-zero stress with no isolated vertex leaves V the
+    only set that can exceed the count (the null-vector rule). Otherwise,
+    and whenever the report is read before any point is taken,
+    `is_d_sparse` searches."""
 
     def __init__(self, g: Graph, d: int) -> None:
         self.g = g
         self.d = d
         self.ub = count_upper_bound(g, d)
+        self.target = rigidity_target(g, d)
+        self.points: list[_Point] = []
 
     @cached_property
     def sparsity(self) -> SparsityReport:
-        return is_d_sparse(self.g, self.d)
-
-    def settle_sparsity(self, points: list[_Point]) -> None:
-        """Fill `sparsity`, before it is first read, when the rank rule or
-        the null-vector rule settles it at these points."""
-        g, d = self.g, self.d
-        if g.n < d + 2 or "sparsity" in vars(self):
-            return
-        target = rigidity_target(g, d)
-        rank = max(r for r, _ in points)
-        if rank == target < g.m or (_full_stress(points, g.m) and all(g.adj)):
-            excess = max(g.m - target, 0)
-            self.sparsity = SparsityReport(
-                d=d, sparse=not excess, tight=g.m == target, excess=excess,
-                violator=frozenset(range(g.n)) if excess else None)
+        g, d, target, points = self.g, self.d, self.target, self.points
+        if g.n >= d + 2 and points:
+            rank = max(r for r, _ in points)
+            if rank == target < g.m or (_full_stress(points, g.m) and all(g.adj)):
+                excess = max(g.m - target, 0)
+                return SparsityReport(
+                    d=d, sparse=not excess, tight=g.m == target, excess=excess,
+                    violator=frozenset(range(g.n)) if excess else None)
+        return is_d_sparse(g, d)
 
     @cached_property
     def core(self) -> int:
@@ -463,10 +471,11 @@ _SMALL_PRIME = 32749
 
 def _evaluate(
     facts: _Facts, trials: int, seed: int, p: int, want_null: bool
-) -> tuple[list[_Point], int, random.Random]:
+) -> tuple[int, random.Random]:
     """Rank R(G) at up to `trials` random points, stopping once the count
-    bound is met. Returns the points, the prime they were taken at, and the
-    generator that drew them, positioned after the last draw.
+    bound is met. Fills `facts.points`, where `_Facts.sparsity` applies the
+    point rules, and returns the prime the points were taken at and the
+    generator that drew their seeds, positioned after the last draw.
 
     When p exceeds _SMALL_PRIME, the first point's seed is evaluated there
     first. If that point meets the count bound, the verdict rests on it
@@ -482,24 +491,16 @@ def _evaluate(
         raise ValueError("trials must be >= 1")
     g, d, ub = facts.g, facts.d, facts.ub
     first_null = want_null and (g.m > ub or trials == 1)
-
-    def point(point_seed: int, prime: int, null: bool) -> _Point:
-        coords = random_realization(g, d, point_seed, field=prime).coords
-        rows = _PointRows(d, g.edges, coords)
-        if null:
-            return rank_and_left_null_mod_p(rows, prime)
-        return rank_mod_p(rows, prime), None
-
     rng = random.Random(seed)
     first = rng.getrandbits(63)
     if p > _SMALL_PRIME:
-        small = point(first, _SMALL_PRIME, first_null)
-        if small[0] >= ub:
-            return [small], _SMALL_PRIME, rng
-    points = [point(first, p, first_null)]
+        facts.points = [_point(g, d, first, _SMALL_PRIME, first_null)]
+        if facts.points[0][0] >= ub:
+            return _SMALL_PRIME, rng
+    points = facts.points = [_point(g, d, first, p, first_null)]
     while points[-1][0] < ub and len(points) < trials:
-        points.append(point(rng.getrandbits(63), p, want_null))
-    return points, p, rng
+        points.append(_point(g, d, rng.getrandbits(63), p, want_null))
+    return p, rng
 
 
 def generic_rank(
@@ -517,20 +518,18 @@ def generic_rank(
     (use is_circuit / is_flexible_circuit for those).
     """
     facts = _Facts(g, d)
-    points, prime, _ = _evaluate(facts, trials, seed, p, want_null=False)
-    return _assess(facts, points, prime, threshold)
+    prime, _ = _evaluate(facts, trials, seed, p, want_null=False)
+    return _assess(facts, prime, threshold)
 
 
-def _assess(
-    facts: _Facts, points: list[_Point], prime: int, threshold: float
-) -> MatroidVerdict:
-    """The verdict on points taken at `prime`. Points at _SMALL_PRIME meet
-    the count bound, so every flag they settle is deterministic."""
-    facts.settle_sparsity(points)
-    g, d, ub = facts.g, facts.d, facts.ub
+def _assess(facts: _Facts, prime: int, threshold: float) -> MatroidVerdict:
+    """The verdict on the points of `facts`, taken at `prime`. Points at
+    _SMALL_PRIME meet the count bound, so every flag they settle is
+    deterministic."""
+    g, d, ub, target = facts.g, facts.d, facts.ub, facts.target
     m = g.m
-    rank_lb = max(rank for rank, _ in points)
-    used = len(points)
+    rank_lb = max(rank for rank, _ in facts.points)
+    used = len(facts.points)
     bound = sz_bound(ub, prime, used)
 
     if rank_lb == m:
@@ -547,7 +546,6 @@ def _assess(
         independent = False if bound <= threshold else None
 
     rigid: Optional[bool]
-    target = rigidity_target(g, d)
     if g.n <= d + 1:
         # small graphs: every graph is independent, and rigid exactly when
         # complete; trusted once the rank is witnessed
@@ -618,8 +616,8 @@ def is_circuit(
     """
     m = g.m
     facts = _Facts(g, d)
-    points, prime, rng = _evaluate(facts, trials, seed, p, want_null=True)
-    verdict = _assess(facts, points, prime, threshold)
+    prime, rng = _evaluate(facts, trials, seed, p, want_null=True)
+    verdict = _assess(facts, prime, threshold)
     if verdict.independent:
         return False, verdict
     if verdict.independent is None:
@@ -637,11 +635,11 @@ def is_circuit(
 
     # rank_lb == m-1. A circuit's generic rank is |E|-1, so its flexibility
     # is a count comparison
-    flexible = m - 1 < rigidity_target(g, d)
+    flexible = m - 1 < facts.target
     circuit_verdict = replace(verdict, circuit=True, flexible_circuit=flexible,
                               rigid=not flexible)
     # stress support fast path at the evaluated points
-    if _full_stress(points, m):
+    if _full_stress(facts.points, m):
         return True, circuit_verdict
     # fall back to explicit per-edge checks with fresh points
     for e in g.edges:
@@ -650,8 +648,8 @@ def is_circuit(
         if sub is None or not sub.sparsity.sparse:
             circuit, sub_bound = False, 0.0  # G-e keeps a sparsity violator
         else:
-            sub_points, sub_prime, _ = _evaluate(sub, trials, sub_seed, p, want_null=False)
-            subv = _assess(sub, sub_points, sub_prime, threshold)
+            sub_prime, _ = _evaluate(sub, trials, sub_seed, p, want_null=False)
+            subv = _assess(sub, sub_prime, threshold)
             if subv.independent:
                 continue
             circuit = False if subv.independent is False else None
@@ -678,16 +676,15 @@ def is_flexible_circuit(
 def stress_support(
     g: Graph, d: int, seed: int = 0, p: int = DEFAULT_PRIME
 ) -> Optional[frozenset[tuple[int, int]]]:
-    """Support of the unique row dependency of R(G,p) at a random point.
+    """Support of the unique row dependency of R(G,p) at a random point, the
+    first one a verdict with this seed takes at p.
 
     Returns the edges carrying a nonzero entry of the one-dimensional left
     null space, or None when the nullity at the sampled point is not one.
     When the generic nullity is one this support contains the unique circuit,
     and each edge outside it deterministically leaves a dependent deletion.
     """
-    rng = random.Random(seed)
-    r = random_realization(g, d, rng.getrandbits(63), field=p)
-    rank, null = rank_and_left_null_mod_p(_PointRows(d, g.edges, r.coords), p)
+    _, null = _point(g, d, random.Random(seed).getrandbits(63), p, null=True)
     if len(null) != 1:
         return None
     return frozenset(e for e, x in zip(g.edges, null[0]) if x)

@@ -205,12 +205,11 @@ def classify_flexible_circuits(
     checks: list[dict] = []
     found: list[str] = []
     survivors = 0
-    for n in range(d + 2, n_max + 1):
-        edge_min = math.ceil(n * (d + 1) / 2)
-        edge_max = d * n - math.comb(d + 1, 2)
-        if edge_min > edge_max:
-            continue
-        spec = SearchSpec(n=n, degree_min=d + 1, edge_min=edge_min,
+    # on d+2 vertices minimum degree d+1 leaves only K_{d+2}, which is not
+    # d-sparse; from d+3 on, ceil(n(d+1)/2) <= dn - C(d+1,2) for every d >= 3,
+    # so each window is one SearchSpec accepts
+    for n in range(d + 3, n_max + 1):
+        spec = SearchSpec(n=n, degree_min=d + 1, edge_min=math.ceil(n * (d + 1) / 2),
                           d_sparse_filter=d)
         for g in enumerate_constrained(spec, partition=partition):
             survivors += 1
@@ -331,20 +330,13 @@ def verify_structure_suites(seed: Optional[int] = None) -> VerificationReport:
     degree-2/3 distance lemma, and t-sums."""
     seed = default_seed() if seed is None else seed
     t0 = time.perf_counter()
-    checks: list[dict] = []
-
-    checks.append(_suite_count_bound(random.Random(seed + 1)))
-    checks.append(_suite_field_agreement(random.Random(seed + 2)))
-    checks.append(_suite_edge_deletion(random.Random(seed + 3)))
-    checks.append(_suite_cycle_matroid(random.Random(seed + 4)))
-    checks.append(_suite_circuit_rank_law(random.Random(seed + 5)))
-    checks.append(_suite_extensions(random.Random(seed + 6)))
-    checks.append(_suite_vertex_split(random.Random(seed + 7)))
-    checks.append(_suite_coning(random.Random(seed + 8)))
-    checks.append(_suite_gluing(random.Random(seed + 9)))
-    checks.append(_suite_two_sum(random.Random(seed + 10)))
-    checks.append(_suite_rigid_union(random.Random(seed + 11)))
-    checks.append(_suite_t_sum(random.Random(seed + 12)))
+    # a suite's place in this order fixes its seed, and so its report
+    suites = (_suite_count_bound, _suite_field_agreement, _suite_edge_deletion,
+              _suite_cycle_matroid, _suite_circuit_rank_law, _suite_extensions,
+              _suite_vertex_split, _suite_coning, _suite_gluing, _suite_two_sum,
+              _suite_rigid_union, _suite_t_sum)
+    checks: list[dict] = [suite(random.Random(seed + k))
+                          for k, suite in enumerate(suites, start=1)]
     checks.append(_suite_deg23())
 
     report = _finish("structure-suites", seed, checks, t0)

@@ -26,6 +26,7 @@ from rigikit import (
     zero_extension,
 )
 from rigikit.constructions import build_glued_cliques, enumerate_glued_cliques_plus
+import rigikit.rigidity as rigidity
 from rigikit.linalg import DEFAULT_PRIME
 from rigikit.rigidity import DEFAULT_TRIALS, _evaluate, _Facts
 
@@ -168,16 +169,21 @@ class TestAgainstSweep:
 
 
 class TestSettledByThePoint:
-    """`_Facts.settle_sparsity`: a report that a verdict's points settle
-    equals the search's, and no verdict moves when the step is off."""
+    """`_Facts.sparsity` after `_evaluate`: a report that a verdict's points
+    settle equals the search's, and no verdict moves when the step is off."""
 
     @staticmethod
     def settled(g: Graph, d: int, seed: int):
-        """The report is_circuit's points settle for (g, d), or None."""
+        """The report is_circuit's points settle for (g, d), or None when
+        the search ran."""
         facts = _Facts(g, d)
-        points, _, _ = _evaluate(facts, DEFAULT_TRIALS, seed, DEFAULT_PRIME, want_null=True)
-        facts.settle_sparsity(points)
-        return vars(facts).get("sparsity")
+        _evaluate(facts, DEFAULT_TRIALS, seed, DEFAULT_PRIME, want_null=True)
+        searched = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rigidity, "is_d_sparse",
+                       lambda g, d: searched.append(1) or is_d_sparse(g, d))
+            rep = facts.sparsity
+        return None if searched else rep
 
     @staticmethod
     def verdicts(cases):
@@ -194,7 +200,9 @@ class TestSettledByThePoint:
                 assert rep == is_d_sparse(g, d), (g.to_graph6(), d, seed)
                 got[rep.sparse] += 1
         on = self.verdicts(cases)
-        monkeypatch.setattr(_Facts, "settle_sparsity", lambda self, points: None)
+        # a plain property: a cached_property set here never gets its name
+        monkeypatch.setattr(_Facts, "sparsity",
+                            property(lambda self: rigidity.is_d_sparse(self.g, self.d)))
         assert self.verdicts(cases) == on
         return got
 
@@ -250,6 +258,21 @@ class TestSettledByThePoint:
                     assert self.settled(g, d, 5) is None, (g.to_graph6(), d)
                 cases.append((g, d, 5))
         self.check(cases, monkeypatch)
+
+    def test_the_rules_wait_for_the_points(self):
+        # K_22 at d=3: its 4-core, all 22 vertices, is too large to search,
+        # so a report read before the points exist raises the search's
+        # error; read after them, the rank rule gives it
+        g = complete_graph(22)
+        with pytest.raises(ValueError, match="subset search"):
+            _Facts(g, 3).sparsity
+        facts = _Facts(g, 3)
+        _evaluate(facts, DEFAULT_TRIALS, 1, DEFAULT_PRIME, want_null=False)
+        rank = max(r for r, _ in facts.points)
+        assert rank == rigidity_target(g, 3) == 60
+        assert facts.sparsity == SparsityReport(d=3, sparse=False, tight=False,
+                                                violator=frozenset(range(22)),
+                                                excess=g.m - rank)
 
 
 class TestLargeGraphs:
