@@ -228,20 +228,24 @@ def _dispatch(args) -> int:
 
 
 def _family(args) -> int:
-    out = []
+    # every family prints as graph6, which holds at most 62 vertices, so a
+    # larger n is refused before anything is built
     if args.name == "glued-cliques":
         t = args.overlap if args.overlap is not None else args.dim - 1
-        out.append(build_glued_cliques(args.dim, t))
+        n, build = 2 * (args.dim + 2) - t, lambda: [build_glued_cliques(args.dim, t)]
     elif args.name == "glued-cliques-plus":
-        out.extend(enumerate_glued_cliques_plus(args.dim))
+        n, build = args.dim + 6, lambda: enumerate_glued_cliques_plus(args.dim)
     elif args.name == "complete":
         if args.n is None:
             raise ValueError("complete needs --n")
-        out.append(LabeledConstruction(complete_graph(args.n)))
+        n, build = args.n, lambda: [LabeledConstruction(complete_graph(args.n))]
     else:
         if args.parts is None:
             raise ValueError("complete-bipartite needs --parts s t")
-        out.append(LabeledConstruction(complete_bipartite(*args.parts)))
+        n, build = sum(args.parts), lambda: [LabeledConstruction(complete_bipartite(*args.parts))]
+    if n > 62:
+        raise ValueError(f"{args.name} would have {n} vertices; graph6 holds at most 62")
+    out = build()
     for c in out:
         if args.format == "g6":
             print(c.graph.to_graph6())

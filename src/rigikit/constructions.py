@@ -6,6 +6,10 @@ Family conventions: the first clique takes labels 0..k-1, the shared clique
 occupies its top labels, and the second clique reuses those plus fresh labels.
 Deleted edges are lexicographically least among the allowed choices, so
 constructions are reproducible; the isomorphism class never depends on this.
+The glued-cliques-plus family keeps one placement per class: it fixes the
+first deleted edge by symmetry, skips a placement whose signature it has
+seen, and checks the canonical code of the rest (see
+`enumerate_glued_cliques_plus` for the orbit argument).
 """
 
 from __future__ import annotations
@@ -65,6 +69,26 @@ def build_glued_cliques(d: int, t: int) -> LabeledConstruction:
     })
 
 
+def _placement_signature(deleted, shared: set[int]) -> tuple:
+    """The deleted edges as a graph on their ends, each end colored shared or
+    private, up to color-preserving relabeling.
+
+    Three rounds of color refinement give it. Each component has at most 4
+    vertices, so a vertex's color then records its whole component, and
+    refinement identifies colored forests. The triangle, the one other graph
+    with 3 edges, is the only one whose every vertex has degree 2.
+    """
+    nbrs: dict[int, list[int]] = {}
+    for u, v in deleted:
+        nbrs.setdefault(u, []).append(v)
+        nbrs.setdefault(v, []).append(u)
+    color = {v: v in shared for v in nbrs}
+    for _ in range(3):
+        color = {v: (color[v], tuple(sorted(color[u] for u in nb)))
+                 for v, nb in nbrs.items()}
+    return tuple(sorted(color.values()))
+
+
 def enumerate_glued_cliques_plus(d: int) -> list[LabeledConstruction]:
     """All graphs (K_{d+3} u K_{d+2}) - {e,f,g} with the two cliques
     overlapping in K_{d-1}, up to isomorphism.
@@ -72,8 +96,26 @@ def enumerate_glued_cliques_plus(d: int) -> list[LabeledConstruction]:
     Placement rules: e lies inside the shared clique (so it is an edge of
     both cliques); f and g are further edges of the big clique; the three
     deleted edges never share a common end-vertex; and when neither f nor g
-    lies inside the shared clique they must not share an end-vertex. Every
-    placement the rules permit is kept; deduplication is by canonical code.
+    lies inside the shared clique they must not share an end-vertex.
+
+    Each class keeps its first placement in the order e, then (f, g), each
+    lexicographic. Three steps find it and canonize once per signature.
+    S_4 on the big clique's private vertices times S_{d-1} on the shared
+    ones fixes the construction and the rules.
+
+    - One e. S_{d-1} is transitive on shared pairs, so every class has a
+      placement with e the least shared pair, and that e comes first.
+    - A window of 10 labels for f and g. A placement whose f or g ends at a
+      shared label w >= 10 leaves some shared label u in 6..9 off f and g,
+      and swapping u and w fixes e and gives an earlier placement of the
+      same class. So no first placement leaves the window, and from d = 7 on the
+      loop does the same work at every d.
+    - A signature skip. Two placements with one signature
+      (`_placement_signature`) differ by a color-preserving bijection of
+      the deleted edges' ends. It extends to an element of S_4 x S_{d-1},
+      so they lie in one orbit, and the later one is skipped before its
+      graph is built. Distinct signatures may still give isomorphic
+      graphs, so a canonical code check keeps the first of those.
     """
     if d < 3:
         raise ValueError("need d >= 3")
@@ -83,28 +125,32 @@ def enumerate_glued_cliques_plus(d: int) -> list[LabeledConstruction]:
     c2 = shared + (d + 3, d + 4, d + 5)
     base = _clique_edges(c1) | _clique_edges(c2)
     shared_set = set(shared)
-    e1_edges = sorted(_clique_edges(c1))
+    e = (shared[0], shared[1])
+    rest = [x for x in sorted(_clique_edges(c1[:10])) if x != e]  # the window
 
     out: list[LabeledConstruction] = []
+    signatures: set[tuple] = set()
     seen: set[int] = set()
-    for e in itertools.combinations(shared, 2):
-        rest = [x for x in e1_edges if x != e]
-        for f, g in itertools.combinations(rest, 2):
-            if set(e) & set(f) & set(g):
-                continue
-            f_inside = set(f) <= shared_set
-            g_inside = set(g) <= shared_set
-            if not f_inside and not g_inside and set(f) & set(g):
-                continue
-            graph = Graph(n, tuple(base - {e, f, g}))
-            code, _, _ = canon_raw(graph.adj, n)
-            if code in seen:
-                continue
-            seen.add(code)
-            out.append(LabeledConstruction(graph, roles={
-                "clique1": c1, "clique2": c2, "shared": shared,
-                "removed_e": e, "removed_f": f, "removed_g": g,
-            }))
+    for f, g in itertools.combinations(rest, 2):
+        if set(e) & set(f) & set(g):
+            continue
+        f_inside = set(f) <= shared_set
+        g_inside = set(g) <= shared_set
+        if not f_inside and not g_inside and set(f) & set(g):
+            continue
+        signature = _placement_signature((e, f, g), shared_set)
+        if signature in signatures:
+            continue
+        signatures.add(signature)
+        graph = Graph(n, tuple(base - {e, f, g}))
+        code, _, _ = canon_raw(graph.adj, n)
+        if code in seen:
+            continue
+        seen.add(code)
+        out.append(LabeledConstruction(graph, roles={
+            "clique1": c1, "clique2": c2, "shared": shared,
+            "removed_e": e, "removed_f": f, "removed_g": g,
+        }))
     return out
 
 

@@ -55,6 +55,27 @@ class TestFamily:
         assert out == graph.to_graph6() + "\n"
 
 
+    @pytest.mark.parametrize("argv, builder", [
+        (["complete", "--n", "63"], "complete_graph"),
+        (["complete-bipartite", "--parts", "31", "32"], "complete_bipartite"),
+        (["glued-cliques", "-d", "31", "-t", "3"], "build_glued_cliques"),
+        (["glued-cliques-plus", "-d", "57"], "enumerate_glued_cliques_plus"),
+    ])
+    def test_beyond_graph6_refused_before_building(self, capsys, monkeypatch, argv, builder):
+        # 63 vertices, one more than graph6 holds
+        def unreachable(*args):
+            raise AssertionError(f"{builder} ran")
+
+        monkeypatch.setattr(f"rigikit.cli.{builder}", unreachable)
+        code, out = run(capsys, ["family", *argv])
+        assert (code, out) == (3, "")
+
+    def test_graph6_limit_is_inclusive(self, capsys):
+        code, out = run(capsys, ["family", "complete", "--n", "62", "--format", "g6"])
+        assert code == 0
+        assert out == complete_graph(62).to_graph6() + "\n"
+
+
 class TestCheck:
     def test_k5_circuit(self, capsys, monkeypatch):
         g6 = complete_graph(5).to_graph6()

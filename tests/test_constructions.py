@@ -1,10 +1,13 @@
+import itertools
 import math
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rigikit import (
+    Graph,
     canonical_code,
     complete_bipartite,
     complete_graph,
@@ -14,7 +17,9 @@ from rigikit import (
     is_flexible_circuit,
     is_independent,
 )
+from rigikit import constructions
 from rigikit.constructions import (
+    _placement_signature,
     build_glued_cliques,
     enumerate_glued_cliques_plus,
     one_extension,
@@ -64,13 +69,102 @@ class TestGluedCliques:
             assert f is True
 
 
+def _placements(d, every_e=True):
+    """Each legal placement (e, f, g), in the order of all placements:
+    e runs over every shared pair, or only the least one."""
+    shared = tuple(range(4, d + 3))
+    shared_set = set(shared)
+    edges = sorted(itertools.combinations(range(d + 3), 2))
+    es = itertools.combinations(shared, 2) if every_e else [shared[:2]]
+    for e in es:
+        rest = [x for x in edges if x != e]
+        for f, g in itertools.combinations(rest, 2):
+            if set(e) & set(f) & set(g):
+                continue
+            if not set(f) <= shared_set and not set(g) <= shared_set and set(f) & set(g):
+                continue
+            yield e, f, g
+
+
+def _placement_graph(d, e, f, g):
+    c1 = range(d + 3)
+    c2 = [*range(4, d + 3), d + 3, d + 4, d + 5]
+    edges = {*itertools.combinations(c1, 2), *itertools.combinations(c2, 2)}
+    return Graph(d + 6, tuple(edges - {e, f, g}))
+
+
+def _reference_members(d, every_e=True):
+    """The family canonized placement by placement: each code's first
+    placement, as (graph, (e, f, g))."""
+    out, seen = [], set()
+    for placement in _placements(d, every_e):
+        graph = _placement_graph(d, *placement)
+        code = canonical_code(graph)
+        if code not in seen:
+            seen.add(code)
+            out.append((graph, placement))
+    return out
+
+
+def _members(d):
+    return [(c.graph, tuple(c.roles[r] for r in ("removed_e", "removed_f", "removed_g")))
+            for c in enumerate_glued_cliques_plus(d)]
+
+
 class TestGluedCliquesPlus:
-    @pytest.mark.parametrize("d,count", [(3, 3), (4, 8), (5, 13)])
+    @pytest.mark.parametrize("d,count", [
+        (3, 3), (4, 8), (5, 13), (6, 15), *((d, 16) for d in range(7, 13)),
+        *(pytest.param(d, 16, marks=pytest.mark.slow) for d in range(13, 21)),
+    ])
     def test_golden_class_counts(self, d, count):
-        # frozen from a placement enumeration deduplicated by explicit
-        # isomorphism search (networkx), independent of the canonizer
+        # d <= 5 frozen from a placement enumeration deduplicated by
+        # explicit isomorphism search (networkx), independent of the
+        # canonizer; d <= 10 agrees with canonizing every placement
         members = enumerate_glued_cliques_plus(d)
         assert len(members) == count
+
+    @pytest.mark.parametrize("d", [
+        3, 4, 5, 6, *(pytest.param(d, marks=pytest.mark.slow) for d in (7, 8)),
+    ])
+    def test_same_list_as_canonizing_every_placement(self, d):
+        # graphs, deleted edges and order; d=8 reaches past the f, g window
+        assert _members(d) == _reference_members(d)
+
+    @pytest.mark.parametrize("d", [9, 10])
+    def test_window_keeps_each_first_placement(self, d):
+        # with e fixed, the reference still sees every shared label
+        assert _members(d) == _reference_members(d, every_e=False)
+
+    def test_signature_determines_the_class(self):
+        # at d=7 every colored pattern of e, f and g occurs
+        codes = {}
+        placements = list(_placements(7, every_e=False))
+        assert len(placements) == 722
+        for e, f, g in placements:
+            signature = _placement_signature((e, f, g), set(range(4, 10)))
+            codes.setdefault(signature, set()).add(canonical_code(_placement_graph(7, e, f, g)))
+        assert all(len(c) == 1 for c in codes.values())
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_each_placement_matches_one_member_under_networkx(self, d):
+        # complements are sparse, so VF2 decides them quickly
+        def nx_complement(graph):
+            h = nx.Graph(graph.edges)
+            h.add_nodes_from(range(graph.n))
+            return nx.complement(h)
+
+        members = [nx_complement(c.graph) for c in enumerate_glued_cliques_plus(d)]
+        for placement in _placements(d):
+            h = nx_complement(_placement_graph(d, *placement))
+            assert sum(nx.is_isomorphic(h, m) for m in members) == 1
+
+    @pytest.mark.parametrize("d", range(3, 11))
+    def test_canonizes_once_per_class(self, d, monkeypatch):
+        calls = []
+        real = constructions.canon_raw
+        monkeypatch.setattr(constructions, "canon_raw", lambda *a: calls.append(1) or real(*a))
+        members = enumerate_glued_cliques_plus(d)
+        assert len(calls) == len(members) <= 16
 
     def test_members_have_d_plus_6_vertices_and_tight(self):
         for d in (3, 4, 5):
