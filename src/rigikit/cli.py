@@ -60,6 +60,17 @@ def _read_graphs(path: Optional[str]) -> Iterator[Graph]:
                 yield Graph.from_graph6(line)
 
 
+_MAX_COORDINATES = 1000  # d*|V| per point; the scales in scope stay near 150
+
+
+def _oracle_graphs(args) -> Iterator[Graph]:
+    """The input of `rank` and `check`, refused before a point is drawn."""
+    for g in _read_graphs(args.input):
+        if args.dim * g.n > _MAX_COORDINATES:
+            raise ValueError(f"d*|V| = {args.dim}*{g.n} exceeds {_MAX_COORDINATES}")
+        yield g
+
+
 def _parse_partition(text: str) -> tuple[int, int]:
     try:
         i, m = text.split("/")
@@ -178,7 +189,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "rank":
         kw = _oracle_options(args)
-        for g in _read_graphs(args.input):
+        for g in _oracle_graphs(args):
             v = generic_rank(g, args.dim, **kw)
             if args.format == "text":
                 print(_verdict_line(g, v))
@@ -191,7 +202,7 @@ def _dispatch(args) -> int:
               "circuit": is_circuit, "flexible-circuit": is_flexible_circuit}[args.predicate]
         kw = _oracle_options(args)
         worst = EXIT_PASS
-        for g in _read_graphs(args.input):
+        for g in _oracle_graphs(args):
             verdict, v = fn(g, args.dim, **kw)
             if args.format == "text":
                 print(f"{args.predicate}={_WORD[verdict]} {_verdict_line(g, v)}")
@@ -212,7 +223,6 @@ def _dispatch(args) -> int:
             if {args.degree_min, args.degree_max, args.edge_min, args.edge_max} != {None}:
                 raise ValueError("--regular sets the degree and edge window")
             args.degree_min = args.degree_max = args.regular
-            args.edge_min = args.edge_max = args.n * args.regular // 2
         spec = SearchSpec(n=args.n, degree_min=args.degree_min or 0,
                           degree_max=args.degree_max, edge_min=args.edge_min or 0,
                           edge_max=args.edge_max, d_sparse_filter=args.sparse,
@@ -297,14 +307,12 @@ def _verify(args) -> int:
     if args.partition != (0, 1) and args.claim not in SHARDED:
         raise ValueError(f"--partition splits only {', '.join(SHARDED)}; "
                          f"{args.claim} runs whole")
-    if args.claim == "all":
-        reports = run_all(seed=args.seed)
-    else:
-        reports = [CLAIMS[args.claim](args.seed, args.partition)]
-
-    payload = [r.to_json() for r in reports]
-    if args.out:
-        with open(args.out, "w") as fh:
+    # the report file opens first: a path it cannot write fails before the claim runs
+    with open(args.out, "w") if args.out else nullcontext() as fh:
+        reports = (run_all(seed=args.seed) if args.claim == "all"
+                   else [CLAIMS[args.claim](args.seed, args.partition)])
+        if fh is not None:
+            payload = [r.to_json() for r in reports]
             json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2,
                       sort_keys=True)
     for r in reports:

@@ -40,14 +40,15 @@ The top key also freezes vertices. A vertex's key after its next edge is at
 most (deg + 1) * (n*n + cap), since every neighbour's degree is capped; once
 that falls below the low end of the largest edge key, the vertex can gain no
 edge anywhere below the node, because the largest key only grows down the
-tree. A node with an edge floor still ahead is dropped when the degree
-room left on its unfrozen vertices, the sum of cap - deg, is under twice the
+tree. A node with an edge floor still ahead (a degree floor is one, as
+the degree window bounds the edge window) is dropped when the degree room
+left on its unfrozen vertices, the sum of cap - deg, is under twice the
 edges it still needs; a child so dropped is never canonized.
 
-Streams are resumable: each DFS subtree rooted at a fixed depth goes to the
-`partition` shard picked by a fixed mix of its root's canonical code, and
-only shard 0 emits the nodes above that depth. A shard thus depends on no
-other node, so no prune needs to spare one; shard outputs are disjoint, keep
+Streams are resumable: each DFS subtree rooted at depth min(5, the edge
+ceiling) goes to the `partition` shard picked by a fixed mix of its root's
+canonical code, and only shard 0 emits the nodes above that depth. A shard
+depends on no other node, so no prune spares one; shards are disjoint, keep
 the stream's order, and their union is the full stream.
 """
 
@@ -68,10 +69,11 @@ _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
 class SearchSpec:
     """Degree/edge/sparsity window for constrained enumeration.
 
-    degree_max defaults to n-1 and edge_max to C(n,2). Every infeasible
-    window fails here, up front: odd parity in a regular window, a degree
-    floor above the edge budget, an edge floor above the degree cap. An edge
-    spends two units of degree, so `_grow` never needs to re-test the cap.
+    degree_max defaults to n-1. An edge spends two units of degree, so the
+    degree window bounds the edge window: edge_min rises to
+    ceil(n*degree_min/2) and edge_max falls to floor(n*degree_max/2), or under
+    d-sparsity to d*n - C(d+1,2) if lower. An empty window fails here. Shards
+    take subtrees at depth min(5, the generated side's edge ceiling).
     """
 
     n: int
@@ -83,37 +85,33 @@ class SearchSpec:
     connectivity_min: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, dmin = self.n, self.degree_min
+        if n < 0:
             raise ValueError("n must be nonnegative")
-        dmax = max(self.n - 1, 0) if self.degree_max is None else self.degree_max
-        emax = math.comb(self.n, 2) if self.edge_max is None else self.edge_max
-        emax = min(emax, math.comb(self.n, 2))
+        dmax = max(n - 1, 0) if self.degree_max is None else self.degree_max
+        if not (0 <= dmin <= dmax <= max(n - 1, 0)):
+            raise ValueError(f"infeasible degree bounds [{dmin}, {dmax}]")
+        emin = self.edge_min if self.edge_min < 0 else max(self.edge_min, -(-n * dmin // 2))
+        emax = n * dmax // 2 if self.edge_max is None else min(n * dmax // 2, self.edge_max)
         if self.d_sparse_filter is not None:
             d = self.d_sparse_filter
             if d < 1:
                 raise ValueError("dimension must be >= 1")
-            if self.n >= d + 2:
-                emax = min(emax, d * self.n - math.comb(d + 1, 2))
+            if n >= d + 2:
+                emax = min(emax, d * n - math.comb(d + 1, 2))
+        if not (0 <= emin <= emax):
+            raise ValueError(f"infeasible edge window [{emin}, {emax}] "
+                             f"for degrees [{dmin}, {dmax}] on {n} vertices")
         object.__setattr__(self, "degree_max", dmax)
+        object.__setattr__(self, "edge_min", emin)
         object.__setattr__(self, "edge_max", emax)
-        if not (0 <= self.degree_min <= dmax <= max(self.n - 1, 0)):
-            raise ValueError(f"infeasible degree bounds [{self.degree_min}, {dmax}]")
-        if self.degree_min == dmax and (self.n * dmax) % 2:
-            raise ValueError(f"parity: no {dmax}-regular graph on {self.n} vertices")
-        if not (0 <= self.edge_min <= emax):
-            raise ValueError(f"infeasible edge window [{self.edge_min}, {emax}]")
-        if self.n * self.degree_min > 2 * emax:
-            raise ValueError("infeasible: min degree exceeds the edge budget")
-        if 2 * self.edge_min > self.n * dmax:
-            raise ValueError("infeasible: min edges exceed the degree cap")
 
 
 def enumerate_constrained(
     spec: SearchSpec, partition: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
     """All isomorphism classes meeting the spec, canonically labeled."""
-    shard_i, shard_m = partition
-    if not (0 <= shard_i < shard_m):
+    if not (0 <= partition[0] < partition[1]):
         raise ValueError("partition must be (i, m) with 0 <= i < m")
     n = spec.n
     total = math.comb(n, 2)
@@ -139,9 +137,7 @@ def enumerate_regular(
     n: int, k: int, partition: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
     """All k-regular graphs on n vertices up to isomorphism."""
-    spec = SearchSpec(n=n, degree_min=k, degree_max=k,
-                      edge_min=n * k // 2, edge_max=n * k // 2)
-    return enumerate_constrained(spec, partition)
+    return enumerate_constrained(SearchSpec(n=n, degree_min=k, degree_max=k), partition)
 
 
 def _passes_final(g: Graph, spec: SearchSpec) -> bool:

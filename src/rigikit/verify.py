@@ -10,7 +10,6 @@ informational and excluded from that contract.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import time
@@ -205,12 +204,9 @@ def classify_flexible_circuits(
     checks: list[dict] = []
     found: list[str] = []
     survivors = 0
-    # on d+2 vertices minimum degree d+1 leaves only K_{d+2}, which is not
-    # d-sparse; from d+3 on, ceil(n(d+1)/2) <= dn - C(d+1,2) for every d >= 3,
-    # so each window is one SearchSpec accepts
+    # K_{d+2}, the one graph on d+2 vertices of min degree d+1, is not d-sparse
     for n in range(d + 3, n_max + 1):
-        spec = SearchSpec(n=n, degree_min=d + 1, edge_min=math.ceil(n * (d + 1) / 2),
-                          d_sparse_filter=d)
+        spec = SearchSpec(n=n, degree_min=d + 1, d_sparse_filter=d)
         for g in enumerate_constrained(spec, partition=partition):
             survivors += 1
             flex, v = is_flexible_circuit(g, d, seed=seed + survivors)
@@ -691,8 +687,7 @@ def _suite_deg23() -> dict:
     failures = []
     total = 0
     for n in (11, 12):
-        spec = SearchSpec(n=n, degree_min=2, degree_max=3)
-        for g in enumerate_constrained(spec):
+        for g in enumerate_constrained(SearchSpec(n=n, degree_min=2, degree_max=3)):
             if min(g.degrees) != 2 or max(g.degrees) != 3:
                 continue
             total += 1

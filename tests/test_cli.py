@@ -200,14 +200,34 @@ class TestUsage:
         (["--sparse", "-1"], "dimension must be >= 1"),
         (["--edge-max", "-3"], "infeasible edge window"),
         (["--edge-min", "-1"], "infeasible edge window"),
-        (["--degree-max", "1", "--edge-min", "3"], "min edges exceed the degree cap"),
+        (["--degree-max", "1", "--edge-min", "3"],
+         "infeasible edge window [3, 2] for degrees [0, 1] on 5 vertices"),
         (["--regular", "2", "--degree-min", "5"], "--regular sets the degree and edge window"),
         (["--regular", "2", "--edge-max", "5"], "--regular sets the degree and edge window"),
+        (["--regular", "3"], "infeasible edge window [8, 7] for degrees [3, 3] on 5 vertices"),
     ])
     def test_enumeration_window_rejected_with_its_cause(self, capsys, flags, message):
         assert main(["enumerate", "--n", "5", *flags]) == 3
         out, err = capsys.readouterr()
         assert out == "" and message in err
+
+    @pytest.mark.parametrize("argv", [["rank"], ["check", "rigid"]])
+    def test_oversized_dimension_refused_before_a_point(self, capsys, monkeypatch, argv):
+        # K_5 at d=201 has 1,005 coordinates per point, above the limit of
+        # 1,000; at d=200 it is answered
+        def unreachable(*args):
+            raise AssertionError("a point was drawn")
+
+        g6 = complete_graph(5).to_graph6()
+        monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+        with monkeypatch.context() as patched:
+            patched.setattr("rigikit.rigidity._point", unreachable)
+            assert main(argv + ["-d", "201"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: d*|V| = 201*5 exceeds 1000\n"
+        code, out = run(capsys, argv + ["-d", "200"], stdin=g6 + "\n",
+                        monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["rank_lb"] == 10
 
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
         # two disjoint K_11 are dependent at d=3 and their own 4-core of 22
@@ -323,6 +343,19 @@ class TestVerifyCommand:
         claim = lines[lines.index("positional arguments:") + 1]
         choices = claim.strip().strip("{}").split(",")
         assert choices == [*CLAIMS, "all"]
+
+    @pytest.mark.parametrize("claim", ["classify-d3", "all"])
+    def test_unwritable_out_exits_before_the_claim(self, capsys, monkeypatch, tmp_path, claim):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the claim ran")
+
+        monkeypatch.setitem(CLAIMS, "classify-d3", unreachable)
+        monkeypatch.setattr("rigikit.cli.run_all", unreachable)
+        out_file = tmp_path / "missing" / "report.json"
+        assert main(["verify", claim, "--out", str(out_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+        assert not out_file.parent.exists()
 
     def test_families_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -83,7 +84,9 @@ class TestRegular:
         assert sum(1 for _ in enumerate_regular(n, k)) == count
 
     def test_parity_error(self):
-        with pytest.raises(ValueError, match="parity"):
+        # an odd degree sum leaves the edge window empty: 15/2 rounds up and down
+        message = "infeasible edge window [8, 7] for degrees [3, 3] on 5 vertices"
+        with pytest.raises(ValueError, match=re.escape(message)):
             list(enumerate_regular(5, 3))
 
     def test_degree_out_of_range(self):
@@ -190,11 +193,47 @@ class TestConstrained:
         ({"d_sparse_filter": -1}, "dimension must be >= 1"),
         ({"edge_max": -3}, "infeasible edge window"),
         ({"edge_min": -1}, "infeasible edge window"),
-        ({"degree_max": 1, "edge_min": 3}, "min edges exceed the degree cap"),
+        ({"degree_max": 1, "edge_min": 3},
+         "infeasible edge window [3, 2] for degrees [0, 1] on 5 vertices"),
     ])
     def test_rejection_names_the_cause(self, kwargs, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             SearchSpec(n=5, **kwargs)
+
+    def test_window_accepted_iff_some_graph_fills_it(self):
+        # every labeled graph on n <= 6 vertices, as (min degree, max degree,
+        # edges); a window is feasible exactly when one of them lies in it
+        windows = 0
+        for n in range(1, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            filled = set()
+            for mask in range(1 << len(pairs)):
+                degs = [0] * n
+                for k, (u, v) in enumerate(pairs):
+                    if mask >> k & 1:
+                        degs[u] += 1
+                        degs[v] += 1
+                filled.add((min(degs), max(degs), mask.bit_count()))
+            for dmin, dmax in itertools.combinations_with_replacement(range(n), 2):
+                for emin, emax in itertools.combinations_with_replacement(
+                        range(len(pairs) + 1), 2):
+                    windows += 1
+                    want = any(dmin <= lo and hi <= dmax and emin <= m <= emax
+                               for lo, hi, m in filled)
+                    try:
+                        SearchSpec(n=n, degree_min=dmin, degree_max=dmax,
+                                   edge_min=emin, edge_max=emax)
+                        got = True
+                    except ValueError:
+                        got = False
+                    assert got == want, (n, dmin, dmax, emin, emax)
+        assert windows == 4196
+
+    def test_degree_window_bounds_the_edge_window(self):
+        spec = SearchSpec(n=10, degree_min=2, degree_max=3)
+        assert (spec.edge_min, spec.edge_max) == (10, 15)
+        spec = SearchSpec(n=8, degree_min=4, degree_max=5, edge_max=30, d_sparse_filter=3)
+        assert (spec.edge_min, spec.edge_max) == (16, 18)
 
     def test_empty_and_tiny(self):
         assert [g.n for g in enumerate_constrained(SearchSpec(n=0))] == [0]
@@ -220,6 +259,8 @@ class TestPartition:
             # a window with no edges is the root alone, which is shard 0's
             (SearchSpec(n=4, edge_max=0), 1),
             (SearchSpec(n=0), 1),
+            # matchings: an edge ceiling of 3 hands subtrees off at depth 3
+            (SearchSpec(n=6, degree_max=1), 4),
         ):
             full = {canonical_code(g) for g in enumerate_constrained(spec)}
             pieces = [{canonical_code(g)
@@ -255,6 +296,15 @@ class TestPartition:
             assert shard == sorted(shard)
             seen += shard
         assert sorted(seen) == list(range(len(stream)))
+
+    @pytest.mark.parametrize("partition", [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)])
+    def test_degree_window_streams_as_its_edge_window(self, partition):
+        # the edge bounds a degree window implies, written out, change no
+        # graph, order or shard
+        implied = SearchSpec(n=10, degree_min=2, degree_max=3)
+        written = SearchSpec(n=10, degree_min=2, degree_max=3, edge_min=10, edge_max=15)
+        assert ([g.to_graph6() for g in enumerate_constrained(implied, partition)]
+                == [g.to_graph6() for g in enumerate_constrained(written, partition)])
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
@@ -344,12 +394,13 @@ class TestCanonicalOutput:
     def test_key_check_budget(self, monkeypatch):
         # the parent's top edge key rejects most children before they are
         # built; a child that neither emits nor has a candidate edge left is
-        # dropped before it is canonized
+        # dropped before it is canonized. The degree floor is an edge floor
+        # of 10, so the edge-floor prune drops nodes too (3,236 without it)
         calls = _count_calls(monkeypatch)
         out = list(enumerate_constrained(SearchSpec(n=10, degree_min=2, degree_max=3)))
         assert len(out) == 525
         assert calls["ties"] <= 9300
-        assert calls["canon"] == 3236
+        assert calls["canon"] == 3148
 
     def test_complement_branch_work_and_shards_are_pinned(self, monkeypatch):
         # the branch the classification windows take: dead ends and nodes
