@@ -41,6 +41,7 @@ from .verify import CLAIMS, SHARDED, default_seed, run_all
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
 EXIT_SIGPIPE = 128 + 13  # stdout closed by its reader
+_MAX_COORDINATES = 1000  # d*|V| per point; the scales in scope stay near 150
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -58,9 +59,6 @@ def _read_graphs(path: Optional[str]) -> Iterator[Graph]:
             line = line.strip()
             if line:
                 yield Graph.from_graph6(line)
-
-
-_MAX_COORDINATES = 1000  # d*|V| per point; the scales in scope stay near 150
 
 
 def _oracle_graphs(args) -> Iterator[Graph]:
@@ -307,14 +305,14 @@ def _verify(args) -> int:
     if args.partition != (0, 1) and args.claim not in SHARDED:
         raise ValueError(f"--partition splits only {', '.join(SHARDED)}; "
                          f"{args.claim} runs whole")
-    # the report file opens first: a path it cannot write fails before the claim runs
-    with open(args.out, "w") if args.out else nullcontext() as fh:
+    # "a" opens without truncating: a bad path fails at once, a failed claim keeps the old file
+    with open(args.out, "a") if args.out else nullcontext() as fh:
         reports = (run_all(seed=args.seed) if args.claim == "all"
                    else [CLAIMS[args.claim](args.seed, args.partition)])
         if fh is not None:
+            fh.truncate(0)
             payload = [r.to_json() for r in reports]
-            json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2,
-                      sort_keys=True)
+            json.dump(payload if len(payload) > 1 else payload[0], fh, indent=2, sort_keys=True)
     for r in reports:
         if args.format == "text":
             print(f"{r.claim}: {r.status} ({r.instances} instances, "

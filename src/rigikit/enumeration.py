@@ -111,7 +111,8 @@ def enumerate_constrained(
     spec: SearchSpec, partition: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
     """All isomorphism classes meeting the spec, canonically labeled."""
-    if not (0 <= partition[0] < partition[1]):
+    shard_i, shard_m = partition
+    if not (0 <= shard_i < shard_m):
         raise ValueError("partition must be (i, m) with 0 <= i < m")
     n = spec.n
     total = math.comb(n, 2)

@@ -687,7 +687,8 @@ def _suite_deg23() -> dict:
     failures = []
     total = 0
     for n in (11, 12):
-        for g in enumerate_constrained(SearchSpec(n=n, degree_min=2, degree_max=3)):
+        spec = SearchSpec(n=n, degree_min=2, degree_max=3)
+        for g in enumerate_constrained(spec):
             if min(g.degrees) != 2 or max(g.degrees) != 3:
                 continue
             total += 1

@@ -357,6 +357,19 @@ class TestVerifyCommand:
         assert out == "" and "error:" in err
         assert not out_file.parent.exists()
 
+    def test_failed_claim_keeps_the_old_report(self, capsys, monkeypatch, tmp_path):
+        def fails(*args, **kwargs):
+            raise ValueError("the claim failed")
+
+        monkeypatch.setitem(CLAIMS, "classify-d3", fails)
+        out_file = tmp_path / "report.json"
+        out_file.write_text("old report")
+        assert main(["verify", "classify-d3", "--out", str(out_file)]) == 3
+        assert out_file.read_text() == "old report"
+        # and a claim that returns replaces the old report
+        assert main(["verify", "flexible-families", "--out", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["claim"] == "flexible-families"
+
     def test_families_report(self, capsys, tmp_path):
         out_file = tmp_path / "report.json"
         code, out = run(capsys, ["verify", "flexible-families", "--seed", "7",

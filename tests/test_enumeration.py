@@ -27,6 +27,7 @@ ALL_GRAPHS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
 CUBIC = {4: 1, 6: 2, 8: 6, 10: 21}
 # OEIS A033483: quartic graphs on n vertices
 QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16}
+_EMPTY = hashlib.sha1(b"").hexdigest()  # an empty shard
 
 
 def brute_classes(n, degree_min, degree_max, edge_min=0, edge_max=None, keep=None):
@@ -297,14 +298,21 @@ class TestPartition:
             seen += shard
         assert sorted(seen) == list(range(len(stream)))
 
-    @pytest.mark.parametrize("partition", [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)])
-    def test_degree_window_streams_as_its_edge_window(self, partition):
-        # the edge bounds a degree window implies, written out, change no
-        # graph, order or shard
-        implied = SearchSpec(n=10, degree_min=2, degree_max=3)
-        written = SearchSpec(n=10, degree_min=2, degree_max=3, edge_min=10, edge_max=15)
-        assert ([g.to_graph6() for g in enumerate_constrained(implied, partition)]
-                == [g.to_graph6() for g in enumerate_constrained(written, partition)])
+    @pytest.mark.parametrize("spec, shards", [
+        (SearchSpec(n=10, degree_min=2, degree_max=3),
+         ["4687f10547ffdd151be65ebe4b1eadf551b6c1c9", _EMPTY, _EMPTY, _EMPTY]),
+        (SearchSpec(n=9, degree_min=2, degree_max=3),
+         [_EMPTY, "39dd2abbed9e0781cf0ed28975d8a77366dfbaf0",
+          "4d663139c655b344a29260a11ddb76a5b33d8058", _EMPTY]),
+        (SearchSpec(n=9, degree_min=5, degree_max=6),  # complement branch
+         [_EMPTY, "55be5960aef3a4661e6b12734238020b835c87e6",
+          "f5bd9fd6972bcf5bb8f2fc7a84af6aca6cb2377b", _EMPTY]),
+    ])
+    def test_degree_window_shards_are_pinned(self, spec, shards):
+        # sha1 of each i/4 shard's graph6 lines, as streamed when the edge
+        # window was left unbounded: the edge bounds the degrees imply move
+        # no graph between shards
+        assert [_sha1(enumerate_constrained(spec, partition=(i, 4))) for i in range(4)] == shards
 
     def test_bad_partition_rejected(self):
         with pytest.raises(ValueError):
@@ -505,20 +513,19 @@ class TestEdgeKey:
 class TestEdgeFloor:
     """A node is dropped when its vertices that the top edge key has not
     frozen lack the degree room for the edges the floor still needs. That
-    must cut work only: a window with an edge floor emits the floor-less
-    window's stream less the graphs below the floor, in the same order and
-    in the same shards."""
+    must cut work only: a window with an edge floor emits the floor-free
+    window's stream less the graphs outside the window, in the same order
+    and in the same shards. A degree floor implies an edge floor, so the
+    floor-free partner has none on the generated side."""
 
     @pytest.mark.parametrize("floored, floorless", [
-        # direct branch: an edge floor, and a regular window
+        # direct branch: an edge floor, and a regular window's implied floor
         (SearchSpec(n=8, degree_min=2, degree_max=4, edge_min=13),
-         SearchSpec(n=8, degree_min=2, degree_max=4)),
-        (SearchSpec(n=10, degree_min=3, degree_max=3, edge_min=15, edge_max=15),
-         SearchSpec(n=10, degree_min=3, degree_max=3)),
+         SearchSpec(n=8, degree_max=4)),
+        (SearchSpec(n=10, degree_min=3, degree_max=3), SearchSpec(n=10, degree_max=3)),
         # complement branch: a ceiling on G is a floor on its complement
         (SearchSpec(n=9, degree_min=5, edge_max=26), SearchSpec(n=9, degree_min=5)),
-        (SearchSpec(n=10, degree_min=6, degree_max=6, edge_min=30, edge_max=30),
-         SearchSpec(n=10, degree_min=6, degree_max=6)),
+        (SearchSpec(n=10, degree_min=6, degree_max=6), SearchSpec(n=10, degree_min=6)),
     ])
     @pytest.mark.parametrize("partition", [
         (0, 1), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4),
@@ -526,7 +533,8 @@ class TestEdgeFloor:
     def test_floor_cuts_the_floorless_stream(self, floored, floorless, partition):
         lo, hi = floored.edge_min, floored.edge_max
         want = [g.to_graph6() for g in enumerate_constrained(floorless, partition)
-                if lo <= g.m <= hi]
+                if lo <= g.m <= hi
+                and floored.degree_min <= min(g.degrees) <= max(g.degrees) <= floored.degree_max]
         got = [g.to_graph6() for g in enumerate_constrained(floored, partition)]
         assert got == want
 
