@@ -217,6 +217,10 @@ def _dispatch(args) -> int:
         return _op(args)
 
     if args.cmd == "enumerate":
+        # every line is graph6, which holds at most 62 vertices, so a larger
+        # n is refused before the generator runs
+        if args.n > 62:
+            raise ValueError(f"enumerate --n {args.n}: graph6 holds at most 62 vertices")
         if args.regular is not None:
             if {args.degree_min, args.degree_max, args.edge_min, args.edge_max} != {None}:
                 raise ValueError("--regular sets the degree and edge window")
@@ -263,39 +267,43 @@ def _family(args) -> int:
     return EXIT_PASS
 
 
+# the flags each operation needs, checked before any input is read
+_OP_FLAGS = {
+    "contract": ("edge",),
+    "zero-extension": ("neighbors",),
+    "one-extension": ("neighbors", "removed"),
+    "vertex-split": ("vertex", "hinge"),
+    "two-sum": ("edge",),
+    "t-sum": ("shared", "edge"),
+}
+
+
 def _op(args) -> int:
+    name = args.name
+    missing = [f"--{flag}" for flag in _OP_FLAGS.get(name, ()) if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"{name} needs {' and '.join(missing)}")
     graphs = list(_read_graphs(args.input))
     if not graphs:
         raise ValueError("no input graphs")
+    if name in ("two-sum", "t-sum") and len(graphs) < 2:
+        raise ValueError(f"{name} needs two input graphs")
     g = graphs[0]
-    name = args.name
     if name == "cone":
         result = cone(g)
     elif name == "complement":
         result = complement(g)
     elif name == "contract":
-        if args.edge is None:
-            raise ValueError("contract needs --edge u v")
         result = contract_edge(g, *args.edge)
     elif name == "zero-extension":
-        if args.neighbors is None:
-            raise ValueError("zero-extension needs --neighbors")
         result = zero_extension(g, args.dim, args.neighbors)
     elif name == "one-extension":
-        if args.neighbors is None or args.removed is None:
-            raise ValueError("one-extension needs --neighbors and --removed x y")
         result = one_extension(g, args.dim, args.neighbors, tuple(args.removed))
     elif name == "vertex-split":
-        if args.vertex is None or args.hinge is None:
-            raise ValueError("vertex-split needs --vertex and --hinge")
         result = vertex_split(g, args.dim, args.vertex, args.hinge, args.part1)
     elif name == "two-sum":
-        if len(graphs) < 2 or args.edge is None:
-            raise ValueError("two-sum needs two input graphs and --edge u v")
         result = two_sum(graphs[0], graphs[1], *args.edge).graph
     else:  # t-sum
-        if len(graphs) < 2 or args.shared is None or args.edge is None:
-            raise ValueError("t-sum needs two graphs, --shared, and --edge u v")
         result = t_sum(graphs[0], graphs[1], args.shared, tuple(args.edge)).graph
     print(result.to_graph6())
     return EXIT_PASS

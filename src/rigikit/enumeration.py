@@ -25,16 +25,17 @@ whole orbits of candidates and leaves the stream as it was. No edge of an
 accepted child keys above its new edge, so that key is the child's largest
 and is passed down; no node scans its edges for it.
 
-A child that passes the key test is canonized at most once, and its
-canonical code serves the acceptance test, the child's own automorphism
-pruning and the output graph. Streams therefore carry one canonically
-labeled representative per isomorphism class. A child that would not be
-emitted is expanded first: when the edge ceiling, the degree floor and the
-key bound leave it no candidate edge, nothing can come from it, whether it is
-accepted or not, and it is dropped uncanonized. Dense regimes (min degree
-above half the graph) generate complements instead, where the degree cap
-prunes far earlier; each emitted complement is canonized once more on the
-direct side.
+Every node takes one path: key test, expand, dead-end drop, canonize,
+canonicity, shard, emit. A child that passes the key test is expanded
+first; when the edge ceiling, the degree floor and the key bound leave it no
+candidate edge and it does not emit, nothing can come from it, whether it is
+accepted or not, and it is dropped uncanonized. Any other child is canonized
+once, and its canonical code serves the acceptance test, the shard, the
+child's own automorphism pruning and the output graph. Streams therefore
+carry one canonically labeled representative per isomorphism class. Dense
+regimes (min degree above half the graph) generate complements instead,
+where the degree cap prunes far earlier; each emitted complement is
+canonized once more on the direct side.
 
 The top key also freezes vertices. A vertex's key after its next edge is at
 most (deg + 1) * (n*n + cap), since every neighbour's degree is capped; once
@@ -275,10 +276,11 @@ def _grow(
     edgeless root every two vertices are twins, so the twin transpositions
     that canonization finds generate its automorphism group.
 
-    A node that emits is canonized, yielded and then expanded. Any other
-    child is expanded by its parent before `canon_raw`: a dead end (no
-    candidate edge) is dropped there, and a live child takes its candidates
-    down with it.
+    Each child takes one path: key test (`_max_key_ties`), expand, dead-end
+    drop, canonize, canonicity, shard, emit. A child with no candidate edge
+    that does not emit is dropped before `canon_raw`; any other child takes
+    its candidates down with it. `dfs` yields a node that emits and expands
+    no node itself; the root's candidates come from `expand` too.
     """
     shard_i, shard_m = partition
     shard_depth = max(min(_SHARD_DEPTH, edge_hi), 1)  # only shard 0 emits the root
@@ -349,12 +351,10 @@ def _grow(
 
     def dfs(adj: list[int], degs: list[int], keys: list[int], m: int, deficit: int,
             code: int, gens: list[tuple[int, ...]], top: tuple[int, int, int],
-            cand: Optional[dict[tuple[int, int], tuple[int, int, int]]]
+            cand: dict[tuple[int, int], tuple[int, int, int]]
             ) -> Iterator[tuple[list[int], int]]:
-        # cand is None for an emitting node, which expands once it is yielded
-        if cand is None:
+        if emits(m, deficit):
             yield adj, code
-            cand = expand(adj, degs, keys, m, deficit, top)
         for u, v in candidate_reps(list(cand), gens):
             adj2 = adj[:]
             adj2[u] |= 1 << v
@@ -369,11 +369,9 @@ def _grow(
             d2 = deficit - (degs[u] < dmin) - (degs[v] < dmin)
             # no edge of the child beats its new edge, so that key is its top
             top2 = cand[(u, v)]
-            cand2 = None
-            if not emits(m + 1, d2):
-                cand2 = expand(adj2, degs2, keys2, m + 1, d2, top2)
-                if not cand2:  # a dead end yields nothing, canonical or not
-                    continue
+            cand2 = expand(adj2, degs2, keys2, m + 1, d2, top2)
+            if not cand2 and not emits(m + 1, d2):
+                continue  # nothing comes from it, canonical or not
             code2, perm, cgens = canon_raw(adj2, n)
             if len(ties) > 1 and not is_canonical((u, v), ties, perm, cgens):
                 continue
@@ -388,5 +386,5 @@ def _grow(
     root = [0] * n  # the edgeless graph's adjacency, degrees and keys; never mutated
     deficit = n * max(dmin, 0)
     top = (-1, -1, -1)  # every edge key is above it
-    cand = None if emits(0, deficit) else expand(root, root, root, 0, deficit, top)
+    cand = expand(root, root, root, 0, deficit, top)
     yield from dfs(root, root, root, 0, deficit, 0, _twin_transpositions(root, n), top, cand)

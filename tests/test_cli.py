@@ -211,6 +211,21 @@ class TestUsage:
         out, err = capsys.readouterr()
         assert out == "" and message in err
 
+    @pytest.mark.parametrize("flags", [[], ["--degree-min", "4", "--sparse", "3"]])
+    def test_enumeration_beyond_graph6_refused_before_generating(self, capsys, monkeypatch,
+                                                                   flags):
+        # every line is graph6, which holds at most 62 vertices
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the generator ran")
+
+        with monkeypatch.context() as patched:
+            patched.setattr("rigikit.cli.enumerate_constrained", unreachable)
+            assert main(["enumerate", "--n", "63", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: enumerate --n 63: graph6 holds at most 62 vertices\n"
+        code, out = run(capsys, ["enumerate", "--n", "62", "--edge-max", "0"])
+        assert code == 0 and out == Graph(62).to_graph6() + "\n"
+
     @pytest.mark.parametrize("argv", [["rank"], ["check", "rigid"]])
     def test_oversized_dimension_refused_before_a_point(self, capsys, monkeypatch, argv):
         # K_5 at d=201 has 1,005 coordinates per point, above the limit of
@@ -271,10 +286,59 @@ class TestOps:
         got = Graph.from_graph6(out.strip())
         assert canonical_code(got) == canonical_code(build_glued_cliques(3, 2).graph)
 
-    def test_contract_requires_edge_flag(self, capsys, monkeypatch):
-        g6 = complete_graph(4).to_graph6()
-        code, _ = run(capsys, ["op", "contract"], stdin=g6 + "\n", monkeypatch=monkeypatch)
-        assert code == 3
+    @pytest.mark.parametrize("argv", [
+        ["contract"],
+        ["zero-extension"],
+        ["one-extension", "--neighbors", "0", "1", "2", "3"],
+        ["vertex-split", "--vertex", "0"],
+        ["two-sum"],
+        ["t-sum", "--edge", "0", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_flag_refused_before_reading(self, capsys, monkeypatch, argv):
+        # a terminal on stdin would block until EOF; this one fails if read
+        class Unreadable(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("stdin was read")
+
+            readline = read
+
+            def __iter__(self):
+                raise AssertionError("stdin was read")
+
+        monkeypatch.setattr("sys.stdin", Unreadable())
+        assert main(["op", *argv]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {argv[0]} needs --")
+
+    @pytest.mark.parametrize("argv, summand, copies, want", [
+        pytest.param(["zero-extension", "--neighbors", "0", "1", "2"], complete_graph(4), 1,
+                     Graph(5, complete_graph(4).edges + ((0, 4), (1, 4), (2, 4))),
+                     id="zero-extension"),
+        # K_4 less the edge 01, plus a vertex joined to all four: K_5 less 01
+        pytest.param(["one-extension", "--neighbors", "0", "1", "2", "3", "--removed", "0", "1"],
+                     complete_graph(4), 1, complete_graph(5).without_edge(0, 1),
+                     id="one-extension"),
+        # two K_5 glued along the triangle 012, less the edge 01; the second
+        # summand's vertices 3 and 4 become 5 and 6
+        pytest.param(["t-sum", "--shared", "0", "1", "2", "--edge", "0", "1"],
+                     complete_graph(5), 2,
+                     Graph(7, complete_graph(5).edges
+                           + tuple(itertools.combinations((0, 1, 2, 5, 6), 2))).without_edge(0, 1),
+                     id="t-sum"),
+    ])
+    def test_extension_and_t_sum(self, capsys, monkeypatch, argv, summand, copies, want):
+        code, out = run(capsys, ["op", *argv], stdin=(summand.to_graph6() + "\n") * copies,
+                        monkeypatch=monkeypatch)
+        assert code == 0
+        assert Graph.from_graph6(out.strip()) == want
+
+    @pytest.mark.parametrize("argv, copies", [(["cone"], 1), (["two-sum", "--edge", "0", "1"], 2)])
+    def test_result_beyond_graph6_exits_3(self, capsys, monkeypatch, argv, copies):
+        # the cone on K_62 has 63 vertices, the 2-sum of two K_62 has 122
+        g6 = complete_graph(62).to_graph6()
+        code, out = run(capsys, ["op", *argv], stdin=(g6 + "\n") * copies,
+                        monkeypatch=monkeypatch)
+        assert (code, out) == (3, "")
 
     def test_complement(self, capsys, monkeypatch):
         g6 = complete_graph(4).to_graph6()

@@ -45,6 +45,47 @@ class TestReportMechanics:
         r = _finish("x", 0, [{"ok": True}], t0)
         assert r.status == STATUS_PASS
 
+    def test_instances_count_each_check_once_or_by_its_own_count(self):
+        from rigikit.verify import _finish
+        import time
+
+        checks = [{"ok": True, "instances": 7}, {"ok": True}, {"ok": True, "instances": 0}]
+        assert _finish("x", 0, checks, time.perf_counter()).instances == 8
+
+    def test_run_all_calls_each_runner_as_the_claim_mapping(self, monkeypatch):
+        # the runners are replaced by recorders, so no claim runs; `all`
+        # leaves classify-d4 out and hands the edge bound its classification
+        import inspect
+
+        calls = []
+
+        def recorder(fn):
+            sig = inspect.signature(fn)
+
+            def record(*args, **kwargs):
+                bound = sig.bind(*args, **kwargs)
+                bound.apply_defaults()
+                calls.append((fn.__name__, dict(bound.arguments)))
+                report = VerificationReport(claim=fn.__name__, status=STATUS_PASS,
+                                            seed=0, instances=0)
+                return (report, ["found"]) if fn is classify_flexible_circuits else report
+            return record
+
+        for fn in (verify_regular_independence, verify_families, classify_flexible_circuits,
+                   verify_edge_bound, verify_structure_suites):
+            monkeypatch.setattr(verify, fn.__name__, recorder(fn))
+        verify.run_all(seed=5)
+        from_all = calls[:]
+        calls.clear()
+        for name, runner in verify.CLAIMS.items():
+            if name != "classify-d4":
+                runner(5, (0, 1))
+        assert len(from_all) == len(calls) == 6
+        name, kwargs = from_all[4]
+        assert name == "verify_edge_bound" and kwargs["classification"] == ["found"]
+        kwargs["classification"] = None
+        assert from_all == calls
+
     def test_default_seed_env(self, monkeypatch):
         monkeypatch.setenv("RIGIKIT_SEED", "12345")
         assert default_seed() == 12345
