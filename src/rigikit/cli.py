@@ -42,6 +42,10 @@ from .verify import CLAIMS, SHARDED, default_seed, run_all
 EXIT_PASS, EXIT_FAIL, EXIT_UNRESOLVED, EXIT_USAGE = 0, 1, 2, 3
 EXIT_SIGPIPE = 128 + 13  # stdout closed by its reader
 _MAX_COORDINATES = 1000  # d*|V| per point; the scales in scope stay near 150
+# points per verdict: under the coordinate limit each point at the default
+# prime multiplies the failure bound by less than 2^-52, so 21 points take it
+# below the least positive double and no threshold tells more points apart
+_MAX_TRIALS = 64
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -92,6 +96,10 @@ def _verdict_line(g: Graph, v: MatroidVerdict) -> str:
 
 
 def _oracle_options(args) -> dict:
+    """The oracle's keywords for `rank` and `check`, refused before a graph
+    is read."""
+    if args.trials > _MAX_TRIALS:
+        raise ValueError(f"--trials {args.trials} exceeds {_MAX_TRIALS}")
     kw = {"trials": args.trials,
           "seed": default_seed() if args.seed is None else args.seed}
     if args.threshold is not None:

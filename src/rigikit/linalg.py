@@ -3,12 +3,16 @@ fraction-free integer elimination for the rational cross-check path.
 
 Matrices come in as sequences of rows, each a sequence of Python ints; they
 are read and never changed. Over F_p each row is packed into one int, here
-and nowhere else, with one lane of W = 64*w bits per column: column c holds
-bits W*c .. W*c + W - 1. Adding a multiple of one row to another is then
-one big-int multiply-add over all its columns, and `_eliminate` explains
-why no lane ever carries into the next. Each row also carries a mask whose
-byte c is nonzero when column c may be nonzero in the row, so a column's
-pivot search and updates read only the rows that can hold an entry there.
+and nowhere else, with one lane of W = 64*w bits per column, in reverse
+column order: of N columns, column c holds bits W*(N-1-c) .. W*(N-c) - 1,
+so the column being eliminated is the highest lane still in use. Adding a
+multiple of one row to another is then one big-int multiply-add over all
+its columns, and `_eliminate` explains why no lane ever carries into the
+next. The columns fall into blocks: a vertex's d columns in a rigidity
+matrix at a point, one column in any other matrix. Each row also carries a
+mask whose byte b is nonzero when block b may be nonzero in the row, so a
+block's pivot searches and updates read only the rows that can hold an
+entry there.
 
 A packed lane starts below 2p and stands for its residue. Rows of any other
 matrix are reduced mod p cell by cell (`_pack`). The rows of a rigidity
@@ -25,7 +29,8 @@ from collections.abc import Sequence
 from itertools import chain
 
 # Largest 62-bit prime. At the scales in scope (d*|V| <= ~150) a single
-# random evaluation misses the generic rank with probability < 2^-54.
+# random evaluation misses the generic rank with probability < 2^-54, and
+# at the CLI's limit of 1,000 coordinates (d*|V| <= 1000) < 2^-52.
 DEFAULT_PRIME = 2**62 - 57
 
 # rows are packed through array("Q"), one 64-bit word per item
@@ -89,8 +94,25 @@ def _eliminate(
     row whose entry there is nonzero mod p. Each row below with a nonzero
     entry e takes f = -e/pivot mod p times the pivot row, as one big-int
     multiply-add that is not reduced, and ORs the pivot's mask into its
-    own. Only the pivot row is reduced, all its lanes at once by one
-    Barrett step (Barrett, CRYPTO '86):
+    own. A row thus takes a pivot's mask only inside a block where it is
+    already flagged, and a mask flags whole blocks, so the rows flagged in
+    a column are those flagged in its block at the block's first column.
+    They are listed there once, in order, and every pivot search and update
+    in the block walks only that list. Each pivot leaves the remaining rows
+    and takes one entry with it: the entry of the row at `rank` if that row
+    is listed, since it moves to the pivot's slot, which keeps its entry;
+    otherwise the pivot's own.
+
+    Lanes run in reverse column order, so the lanes above column c's are
+    the columns before it. In every remaining row each of those is 0 mod
+    p: eliminated there, or zero there when no pivot was found, and pivot
+    rows add multiples of lanes that are 0 mod p. So the row shifted down
+    to c's lane is c's entry plus a multiple of p, and one shift and one
+    `% p` read the entry. At a block's first column the listed rows drop
+    the lanes above the block, which no later column reads.
+
+    Only the pivot row is reduced, all its lanes at once by one Barrett
+    step (Barrett, CRYPTO '86):
 
         x - (((x * mu) >> t) & qmask) * p,    mu = 2^t // p,
 
@@ -123,42 +145,45 @@ def _eliminate(
     mu = (1 << t) // p
     words = -(-(t + mu.bit_length()) // 64)
     width = 64 * words
-    lane = (1 << width) - 1
     qmask = int.from_bytes((b"\1" + bytes(8 * words - 1)) * ncols, "little")
     qmask *= (1 << width - t) - 1
     packed, masks = _pack_point(rows, p, words) if point else _pack(rows, p, words)
+    size = rows.d if point else 1  # columns per block
     rank = 0
-    for c in range(ncols):
-        shift = width * c
-        byte = 0xFF << 8 * c
-        piv = -1
-        for i in range(rank, m):
-            if masks[i] & byte:
-                entry = (packed[i] >> shift & lane) % p
+    for first in range(0, ncols, size):
+        flag = 0xFF << 8 * (first // size)
+        live = [i for i in range(rank, m) if masks[i] & flag]
+        keep = (1 << width * (ncols - first)) - 1
+        for i in live:
+            packed[i] &= keep
+        for c in range(first, first + size):
+            shift = width * (ncols - 1 - c)
+            for k, piv in enumerate(live):
+                entry = (packed[piv] >> shift) % p
                 if entry:
-                    piv = i
                     break
-        if piv < 0:
-            continue
-        # rows rank..piv-1 are zero at c, and so is the row swapped into piv
-        packed[rank], packed[piv] = packed[piv], packed[rank]
-        masks[rank], masks[piv] = masks[piv], masks[rank]
-        if log is not None:
-            log[rank], log[piv] = log[piv], log[rank]
-        x = packed[rank]
-        x -= (x * mu >> t & qmask) * p
-        packed[rank] = x
-        pivot_mask = masks[rank]
-        neg_inv = p - pow(entry, -1, p)
-        for i in range(piv + 1, m):
-            if masks[i] & byte:
-                f = (packed[i] >> shift & lane) * neg_inv % p
+            else:
+                continue
+            # the listed rows before piv are zero at c, and so is row rank
+            # if listed: it takes piv's slot and its entry in `live`
+            del live[0 if live[0] == rank else k]
+            packed[rank], packed[piv] = packed[piv], packed[rank]
+            masks[rank], masks[piv] = masks[piv], masks[rank]
+            if log is not None:
+                log[rank], log[piv] = log[piv], log[rank]
+            x = packed[rank]
+            x -= (x * mu >> t & qmask) * p
+            packed[rank] = x
+            pivot_mask = masks[rank]
+            neg_inv = p - pow(entry, -1, p)
+            for i in live[k:]:
+                f = (packed[i] >> shift) * neg_inv % p
                 if f:
                     packed[i] += f * x
                     masks[i] |= pivot_mask
                     if log is not None:
                         log[i][1].append((rank, f))
-        rank += 1
+            rank += 1
         if rank == m:
             break
     return rank
@@ -168,17 +193,19 @@ def _pack(
     rows: Sequence[Sequence[int]], p: int, words: int
 ) -> tuple[list[int], list[int]]:
     """Each row reduced mod p as one int with a lane of `words` 64-bit words
-    per column, and its mask, whose byte c is nonzero when column c is.
+    per column, in reverse column order, and its mask, whose byte c is
+    nonzero when column c is: a block is one column.
 
-    The whole matrix goes through one bytes object, each lane's bytes in
-    little-endian order. A reduced cell fits in its lane's first
-    ceil(bits(p) / 8) bytes, so the OR of those bytes, one strided slice
-    each, gives every cell's mask byte at once.
+    The whole matrix goes through one bytes object, each row's cells
+    reversed and each lane's bytes in little-endian order. A reduced cell
+    fits in its lane's first ceil(bits(p) / 8) bytes, so the OR of those
+    bytes, one strided slice each, gives every cell's mask byte at once; a
+    row's mask bytes read big-endian put column c's in byte c.
     """
     m, ncols = len(rows), len(rows[0])
     if any(len(row) != ncols for row in rows):
         raise ValueError("matrix rows differ in length")
-    data = _lanes([v % p for v in chain.from_iterable(rows)], p, words)
+    data = _lanes([v % p for v in chain.from_iterable(map(reversed, rows))], p, words)
     lane_bytes = 8 * words
     flags = 0
     for k in range((p.bit_length() + 7) // 8):
@@ -186,7 +213,7 @@ def _pack(
     flag_bytes = flags.to_bytes(m * ncols, "little")
     size = lane_bytes * ncols
     packed = [int.from_bytes(data[i * size:(i + 1) * size], "little") for i in range(m)]
-    masks = [int.from_bytes(flag_bytes[i * ncols:(i + 1) * ncols], "little")
+    masks = [int.from_bytes(flag_bytes[i * ncols:(i + 1) * ncols], "big")
              for i in range(m)]
     return packed, masks
 
@@ -231,17 +258,21 @@ class _PointRows(Sequence):
 def _pack_point(rows: _PointRows, p: int, words: int) -> tuple[list[int], list[int]]:
     """`_pack` for the rows of R(G,p), from the coordinates alone.
 
-    Vertex w's block B_w holds its coordinates mod p, one per lane, and P
-    holds p in every lane of a block. The edge (u, v) puts D = B_u - B_v + P
-    in block u and 2P - D in block v, whose lanes are x_u - x_v + p and
-    x_v - x_u + p: both in [1, 2p), so neither subtraction borrows across
-    lanes. Each mask flags both blocks whole, as "may be nonzero", since a
-    lane holds p where two coordinates agree.
+    Vertex w's columns d*w .. d*w + d - 1 sit in lanes d*(n-1-w) ..
+    d*(n-w) - 1, in reverse order like every column. B_w holds w's
+    coordinates mod p, one per lane, last coordinate lowest, and P holds p
+    in every lane of a block. The edge (u, v) puts D = B_u - B_v + P in u's
+    lanes and 2P - D in v's, whose lanes are x_u - x_v + p and x_v - x_u + p:
+    both in [1, 2p), so neither subtraction borrows across lanes. Each mask
+    flags blocks u and v (bytes u and v) whole, as "may be nonzero", since
+    a lane holds p where two coordinates agree.
     """
     d = rows.d
+    n = len(rows.coords)
     lane_bytes = 8 * words
     size = lane_bytes * d
-    data = _lanes([x % p for x in chain.from_iterable(rows.coords)], p, words)
+    data = _lanes([x % p for x in chain.from_iterable(map(reversed, rows.coords))],
+                  p, words)
     blocks = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
     P = p * int.from_bytes((b"\1" + bytes(lane_bytes - 1)) * d, "little")
     P2 = 2 * P
@@ -249,9 +280,8 @@ def _pack_point(rows: _PointRows, p: int, words: int) -> tuple[list[int], list[i
     packed = []
     for u, v in rows.edges:
         diff = blocks[u] - blocks[v] + P
-        packed.append((diff << step * u) + (P2 - diff << step * v))
-    ones = int.from_bytes(b"\1" * d, "little")
-    masks = [(ones << 8 * d * u) + (ones << 8 * d * v) for u, v in rows.edges]
+        packed.append((diff << step * (n - 1 - u)) + (P2 - diff << step * (n - 1 - v)))
+    masks = [(1 << 8 * u) + (1 << 8 * v) for u, v in rows.edges]
     return packed, masks
 
 

@@ -244,6 +244,24 @@ class TestUsage:
                         monkeypatch=monkeypatch)
         assert code == 0 and json.loads(out)["rank_lb"] == 10
 
+    @pytest.mark.parametrize("argv", [["rank"], ["check", "circuit"]])
+    def test_too_many_trials_refused_before_a_point(self, capsys, monkeypatch, argv):
+        # B_{3,2} is dependent, so it never meets the count bound and every
+        # trial draws a point: 65 are refused, 64 are answered
+        def unreachable(*args):
+            raise AssertionError("a point was drawn")
+
+        g6 = build_glued_cliques(3, 2).graph.to_graph6()
+        monkeypatch.setattr("sys.stdin", io.StringIO(g6 + "\n"))
+        with monkeypatch.context() as patched:
+            patched.setattr("rigikit.rigidity._point", unreachable)
+            assert main(argv + ["--trials", "65"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --trials 65 exceeds 64\n"
+        code, out = run(capsys, argv + ["--trials", "64"], stdin=g6 + "\n",
+                        monkeypatch=monkeypatch)
+        assert code == 0 and json.loads(out)["trials"] == 64
+
     def test_sparsity_search_too_large_exits_3(self, capsys, monkeypatch):
         # two disjoint K_11 are dependent at d=3 and their own 4-core of 22
         # vertices; their rank, 54, falls short of the count 60, so no point

@@ -7,7 +7,7 @@ import sympy
 
 from rigikit import linalg
 from rigikit.constructions import build_glued_cliques, cone
-from rigikit.graph import complete_bipartite
+from rigikit.graph import Graph, complete_bipartite, complete_graph
 from rigikit.linalg import (
     DEFAULT_PRIME,
     rank_and_left_null_mod_p,
@@ -257,6 +257,23 @@ def _reference_graphs():
 REFERENCE_GRAPHS = _reference_graphs()
 
 
+def _wide_graphs():
+    """Point rows beyond the reference graphs: the first 169 and 170 edges
+    of K_19, where a lane at 32749 grows from one word to two, and random
+    graphs up to n = 16 and d = 7, whose points at p = 2 and 5 make
+    flagged-but-zero rows and a listed row at `rank` common."""
+    k19 = complete_graph(19).edges
+    graphs = {f"K19-{m}": (Graph(19, k19[:m]), 3, (32749,)) for m in (169, 170)}
+    rng = random.Random(19)
+    for n, d in ((16, 7), (16, 5), (14, 6), (12, 7), (16, 3)):
+        edges = tuple(e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6)
+        graphs[f"G{n}-d{d}"] = Graph(n, edges), d, (2, 5)
+    return graphs
+
+
+WIDE_GRAPHS = _wide_graphs()
+
+
 def eliminations(rows, p):
     """Rank, multiplier log, left null space and plain rank of `rows`."""
     log = [(i, []) for i in range(len(rows))]
@@ -266,17 +283,22 @@ def eliminations(rows, p):
 
 # 2 and 5 make coincident coordinates, lanes that hold p, common; 2^89 - 1
 # packs each cell through bytes, not array("Q")
-@pytest.mark.parametrize("p", (2, 5, 101, 32749, DEFAULT_PRIME, 2**89 - 1))
-@pytest.mark.parametrize("name", list(REFERENCE_GRAPHS))
+@pytest.mark.parametrize("name, p", [
+    *itertools.product(REFERENCE_GRAPHS, (2, 5, 101, 32749, DEFAULT_PRIME, 2**89 - 1)),
+    *((name, p) for name, (_, _, primes) in WIDE_GRAPHS.items() for p in primes),
+])
 def test_rigidity_matrices_match_list_elimination(monkeypatch, name, p):
     # the matrix as `rigidity_matrix` builds it, and as the oracle passes it:
-    # rows packed straight from the point
-    g, d = REFERENCE_GRAPHS[name]
+    # rows packed straight from the point; the null space is also that of
+    # the augmented elimination
+    g, d = REFERENCE_GRAPHS[name] if name in REFERENCE_GRAPHS else WIDE_GRAPHS[name][:2]
     r = random_realization(g, d, 7, field=p)
     rows = rigidity_matrix(g, r).rows
     got = [eliminations(rows, p), eliminations(linalg._PointRows(d, g.edges, r.coords), p)]
     monkeypatch.setattr(linalg, "_eliminate", list_eliminate)
     assert got == [eliminations(rows, p)] * 2
+    reduced = [[x % p for x in row] for row in rows]
+    assert got[0][2] == augmented_rank_and_left_null(reduced, p)
 
 
 def test_point_rows_equal_dense_rows():
