@@ -34,8 +34,11 @@ once, and its canonical code serves the acceptance test, the shard, the
 child's own automorphism pruning and the output graph. Streams therefore
 carry one canonically labeled representative per isomorphism class. Dense
 regimes (min degree above half the graph) generate complements instead,
-where the degree cap prunes far earlier; each emitted complement is
-canonized once more on the direct side.
+where the degree cap prunes far earlier. The public stream canonizes each
+surviving complement once more on the direct side. The classifier's
+survivor stream does not: it yields the complement of the tree's canonical
+graph, labeled by the class alone, and the classifier canonizes only what
+it reports.
 
 The top key also freezes vertices. A vertex's key after its next edge is at
 most (deg + 1) * (n*n + cap), since every neighbour's degree is capped; once
@@ -61,7 +64,7 @@ from typing import Iterator, Optional
 
 from .canon import _twin_transpositions, canon_raw
 from .graph import Graph, complement, graph6_unpack, is_k_connected
-from .rigidity import is_d_sparse
+from .rigidity import _largest_excess
 
 _SHARD_DEPTH = 5  # subtree hand-off level for --partition sharding
 
@@ -112,27 +115,56 @@ def enumerate_constrained(
     spec: SearchSpec, partition: tuple[int, int] = (0, 1)
 ) -> Iterator[Graph]:
     """All isomorphism classes meeting the spec, canonically labeled."""
+    n, recanonize = spec.n, _generates_complement(spec)
+    for g in _survivors(spec, partition):
+        yield graph6_unpack(n, canon_raw(g.adj, n)[0]) if recanonize else g
+
+
+def _generates_complement(spec: SearchSpec) -> bool:
+    """Whether the tree grows complements: the direct side's degree floor
+    leaves the complement a lower degree cap than the direct side's."""
+    return spec.n - 1 - spec.degree_min < spec.degree_max
+
+
+def _survivors(
+    spec: SearchSpec, partition: tuple[int, int] = (0, 1)
+) -> Iterator[Graph]:
+    """Each graph of the window in stream order, canonically labeled when
+    the tree grows direct graphs and the complement of the tree's canonical
+    form when it grows complements: a labeling fixed by the class, the same
+    in every shard, but not canonical.
+
+    The sparsity filter reads the direct side from the tree's bitmasks
+    (complemented on the complement branch) through the search of
+    `is_d_sparse`, so it caches no adjacency on a yielded graph, whose edge
+    tuples are the shared `graph6_pairs(n)` ones.
+    """
     shard_i, shard_m = partition
     if not (0 <= shard_i < shard_m):
         raise ValueError("partition must be (i, m) with 0 <= i < m")
     n = spec.n
     total = math.comb(n, 2)
-    comp_cap = n - 1 - spec.degree_min
-    use_complement = comp_cap < spec.degree_max
+    use_complement = _generates_complement(spec)
     if use_complement:
         # the complement's degree floor caps the direct-side max degree
-        cap, floor = comp_cap, n - 1 - spec.degree_max
+        cap, floor = n - 1 - spec.degree_min, n - 1 - spec.degree_max
         lo, hi = total - spec.edge_max, total - spec.edge_min
     else:
         cap, floor = spec.degree_max, spec.degree_min
         lo, hi = spec.edge_min, spec.edge_max
+    d = spec.d_sparse_filter
+    full = (1 << n) - 1
 
     for adj, code in _grow(n, cap, floor, lo, hi, partition):
+        if d is not None:
+            direct = [full ^ a ^ 1 << v for v, a in enumerate(adj)] if use_complement else adj
+            if _largest_excess(direct, d)[0]:
+                continue
         g = graph6_unpack(n, code)
         if use_complement:
             g = complement(g)
-        if _passes_final(g, spec):
-            yield graph6_unpack(n, canon_raw(g.adj, n)[0]) if use_complement else g
+        if spec.connectivity_min is None or is_k_connected(g, spec.connectivity_min)[0]:
+            yield g
 
 
 def enumerate_regular(
@@ -140,16 +172,6 @@ def enumerate_regular(
 ) -> Iterator[Graph]:
     """All k-regular graphs on n vertices up to isomorphism."""
     return enumerate_constrained(SearchSpec(n=n, degree_min=k, degree_max=k), partition)
-
-
-def _passes_final(g: Graph, spec: SearchSpec) -> bool:
-    if spec.d_sparse_filter is not None and not is_d_sparse(g, spec.d_sparse_filter):
-        return False
-    if spec.connectivity_min is not None:
-        ok, _ = is_k_connected(g, spec.connectivity_min)
-        if not ok:
-            return False
-    return True
 
 
 def _child_keys(keys: list[int], adj: list[int], degs: list[int],

@@ -142,9 +142,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
+    """The graph of g's non-edges, built from the shared `graph6_pairs`
+    tuples, so complements of one order share their edge tuples."""
     present = set(g.edges)
-    es = tuple(e for e in itertools.combinations(range(g.n), 2) if e not in present)
-    return Graph(g.n, es)
+    return Graph(g.n, tuple(e for e in graph6_pairs(g.n) if e not in present))
 
 
 def contract_edge(g: Graph, u: int, v: int) -> Graph:

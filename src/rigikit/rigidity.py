@@ -81,7 +81,7 @@ import math
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Sequence
 
 from .graph import Graph, _bits, is_k_connected
 from .linalg import (
@@ -270,7 +270,7 @@ def is_d_sparse(g: Graph, d: int) -> SparsityReport:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     adj = g.adj
-    excess, tops = _core_maximizers(adj, _core(adj, d + 1), d)
+    excess, tops = _largest_excess(adj, d)
     violator = None
     if tops:
         best = min((_closure(adj, x, d) for x in tops), key=lambda x: (-x.bit_count(), x))
@@ -280,7 +280,14 @@ def is_d_sparse(g: Graph, d: int) -> SparsityReport:
     return SparsityReport(d=d, sparse=sparse, tight=tight, violator=violator, excess=excess)
 
 
-def _core(adj: tuple[int, ...], k: int) -> int:
+def _largest_excess(adj: Sequence[int], d: int) -> tuple[int, list[int]]:
+    """The search of `is_d_sparse` on bitmask adjacency: the largest excess
+    over vertex sets with >= d+2 vertices and the maximizers inside the
+    (d+1)-core; (0, []) exactly when the graph is d-sparse."""
+    return _core_maximizers(adj, _core(adj, d + 1), d)
+
+
+def _core(adj: Sequence[int], k: int) -> int:
     """Bitmask of the k-core: what is left after deleting, one at a time,
     vertices with fewer than k neighbours left."""
     core = (1 << len(adj)) - 1
@@ -298,7 +305,7 @@ def _core(adj: tuple[int, ...], k: int) -> int:
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
-def _core_maximizers(adj: tuple[int, ...], core: int, d: int) -> tuple[int, list[int]]:
+def _core_maximizers(adj: Sequence[int], core: int, d: int) -> tuple[int, list[int]]:
     """The largest excess over sets inside the (d+1)-core with >= d+2
     vertices, and bitmasks of sets attaining it such that every set inside
     the core attaining it lies in one of them; (0, []) when no excess is

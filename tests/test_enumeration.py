@@ -19,7 +19,8 @@ from rigikit import (
 )
 from rigikit.canon import canon_raw
 from rigikit.constructions import build_glued_cliques
-from rigikit.enumeration import _candidates, _child_keys, _max_key_ties
+from rigikit.enumeration import _candidates, _child_keys, _max_key_ties, _survivors
+from rigikit.graph import graph6_pairs
 
 # OEIS A000088: graphs on n = 0..8 vertices
 ALL_GRAPHS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)
@@ -145,6 +146,18 @@ class TestConstrained:
         assert out
         for g in out:
             assert is_d_sparse(g, 3).sparse
+
+    @pytest.mark.parametrize("window, d", [
+        ({"n": 7, "degree_min": 3}, 3),  # complement branch
+        ({"n": 8, "degree_min": 2, "degree_max": 3}, 2),  # direct branch
+    ])
+    def test_sparse_filter_keeps_exactly_the_sparse_classes(self, window, d):
+        # the filter reads the tree's bitmasks, so check it against
+        # is_d_sparse on the unfiltered stream's graphs
+        got = {g.to_graph6() for g in enumerate_constrained(SearchSpec(**window, d_sparse_filter=d))}
+        unfiltered = list(enumerate_constrained(SearchSpec(**window)))
+        want = {g.to_graph6() for g in unfiltered if is_d_sparse(g, d).sparse}
+        assert got == want and 0 < len(got) < len(unfiltered)
 
     def test_matches_brute_force_with_bounds(self):
         for n, lo, hi in [(6, 2, 3), (7, 2, 3), (6, 3, 5)]:
@@ -438,6 +451,33 @@ class TestCanonicalOutput:
         # sha1 of the same stream in emission order: the order must not drift
         spec = SearchSpec(n=10, degree_min=2, degree_max=3)
         assert _sha1(enumerate_constrained(spec)) == "4687f10547ffdd151be65ebe4b1eadf551b6c1c9"
+
+
+class TestSurvivors:
+    """The classifier's survivor stream: the public stream's classes in its
+    order, labeled by the class but not canonized on the complement branch."""
+
+    @pytest.mark.parametrize("spec", [
+        *(SearchSpec(n=n, degree_min=4, d_sparse_filter=3) for n in (6, 7, 8)),
+        SearchSpec(n=9, degree_min=5, d_sparse_filter=4),
+        SearchSpec(n=8, degree_min=2, degree_max=3, d_sparse_filter=2),  # direct branch
+    ])
+    @pytest.mark.parametrize("partition", [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)])
+    def test_same_classes_in_the_same_order(self, spec, partition):
+        got = [canonical_code(g).decode("ascii") for g in _survivors(spec, partition)]
+        assert got == [g.to_graph6() for g in enumerate_constrained(spec, partition)]
+
+    def test_survivors_share_pair_tuples_and_cache_no_adjacency(self):
+        # a survivor is kept while its verdict runs, so it must not hold more
+        # than the canonical graph it replaces: its edges are the shared
+        # graph6 pair tuples and its adjacency is not built by the filter
+        spec = SearchSpec(n=8, degree_min=4, d_sparse_filter=3)
+        pairs = {p: p for p in graph6_pairs(8)}
+        out = list(_survivors(spec))
+        assert len(out) == 94
+        for g in out:
+            assert all(pairs[e] is e for e in g.edges)
+            assert "adj" not in vars(g)
 
 
 def _vertex_keys(adj, n):

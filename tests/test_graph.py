@@ -21,7 +21,7 @@ from rigikit import (
     is_k_connected,
 )
 from rigikit.constructions import build_glued_cliques
-from rigikit.graph import graph6_pack, graph6_unpack
+from rigikit.graph import graph6_pack, graph6_pairs, graph6_unpack
 
 from conftest import graphs
 
@@ -91,6 +91,15 @@ class TestComplement:
     @given(graphs())
     def test_involution(self, g):
         assert complement(complement(g)) == g
+
+    @given(graphs())
+    def test_non_edges_as_shared_pair_tuples(self, g):
+        present = set(g.edges)
+        h = complement(g)
+        assert h == Graph(g.n, tuple(e for e in itertools.combinations(range(g.n), 2)
+                                     if e not in present))
+        pairs = {p: p for p in graph6_pairs(g.n)}
+        assert all(pairs[e] is e for e in h.edges)
 
 
 class TestContract:

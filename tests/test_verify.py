@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -179,7 +181,7 @@ class TestScope:
     def test_shard_reports_check_the_family_list(self, monkeypatch):
         # a shard that reports a flexible circuit outside the named families
         # fails, though it cannot check that it found all of them
-        real = verify.is_flexible_circuit
+        real, real_rerun = verify.is_flexible_circuit, verify.is_circuit
         flagged = []
 
         def flag_first(g, d, **kwargs):
@@ -188,7 +190,16 @@ class TestScope:
                 flagged.append(g)
                 return True, v
             return flex, v
+
+        def flag_rerun(g, d, **kwargs):
+            # the flagged survivor's rerun on its canonical form comes next
+            circuit, v = real_rerun(g, d, **kwargs)
+            if len(flagged) == 1:
+                flagged.append(g)
+                return circuit, replace(v, flexible_circuit=True)
+            return circuit, v
         monkeypatch.setattr(verify, "is_flexible_circuit", flag_first)
+        monkeypatch.setattr(verify, "is_circuit", flag_rerun)
 
         for i in range(4):
             flagged.clear()
@@ -201,14 +212,21 @@ class TestScope:
     def test_unresolved_survivor_fails_closed(self, monkeypatch):
         # an oracle that cannot decide one survivor leaves the whole report
         # unresolved, never pass
-        real = verify.is_flexible_circuit
+        real, real_rerun = verify.is_flexible_circuit, verify.is_circuit
         calls = []
 
         def undecided_first(g, d, **kwargs):
             flex, v = real(g, d, **kwargs)
             calls.append(g)
             return (None, v) if len(calls) == 1 else (flex, v)
+
+        def undecided_rerun(g, d, **kwargs):
+            # the first survivor's rerun on its canonical form comes next
+            circuit, v = real_rerun(g, d, **kwargs)
+            calls.append(g)
+            return (None, replace(v, flexible_circuit=None)) if len(calls) == 2 else (circuit, v)
         monkeypatch.setattr(verify, "is_flexible_circuit", undecided_first)
+        monkeypatch.setattr(verify, "is_circuit", undecided_rerun)
 
         rep, found = classify_flexible_circuits(3, 7, seed=1)
         assert rep.status == STATUS_UNRESOLVED and rep.exit_code() == 2
@@ -226,6 +244,75 @@ class TestScope:
         assert r.status == STATUS_PASS
         counts = [c for c in r.details if c["name"].startswith("edge-count")]
         assert [c["edges"] for c in counts] == [18, 26, 35, 45, 56, 68]
+
+
+class TestSurvivorCanonization:
+    """The classifier runs each verdict on the survivor stream's labels and
+    canonizes only the survivors it reports."""
+
+    def test_reported_survivors_are_rerun_on_their_canonical_form(self, monkeypatch):
+        from rigikit.canon import canonical_form
+
+        real, real_rerun = verify.is_flexible_circuit, verify.is_circuit
+        first, rerun = [], []
+
+        def undecided_first(g, d, **kwargs):
+            flex, v = real(g, d, **kwargs)
+            if not first:
+                flex = None  # not False, so the first survivor is rerun
+            first.append((g, kwargs["seed"], flex))
+            return flex, v
+
+        def recorded_rerun(g, d, **kwargs):
+            circuit, v = real_rerun(g, d, **kwargs)
+            rerun.append((g, kwargs["seed"], v.flexible_circuit))
+            return circuit, v
+        monkeypatch.setattr(verify, "is_flexible_circuit", undecided_first)
+        monkeypatch.setattr(verify, "is_circuit", recorded_rerun)
+
+        rep, found = classify_flexible_circuits(3, 8, seed=1)
+        # the stream's labels are not canonical, so a rerun on them differs
+        assert first[0][0] != canonical_form(first[0][0])
+        assert [(g, s) for g, s, _ in rerun] == [
+            (canonical_form(g), s) for g, s, flex in first if flex is not False]
+        assert len(rerun) == 2  # the forced one and B_{3,2}
+        assert found == [g.to_graph6() for g, _, flex in rerun if flex]
+        assert rep.status == STATUS_PASS
+
+    def test_canonizes_only_reported_survivors(self, monkeypatch):
+        # the generator's canonizations, one per reported survivor (4) and
+        # one per named family member; 13,069 when each of the 2,709
+        # survivors was canonized again on the direct side
+        import rigikit.canon as canon
+        import rigikit.enumeration as enumeration
+
+        calls = Counter()
+
+        def counted(module):
+            inner = module.canon_raw
+
+            def canon_raw(adj, n):
+                calls["canon"] += 1
+                return inner(adj, n)
+            monkeypatch.setattr(module, "canon_raw", canon_raw)
+        counted(canon)
+        counted(enumeration)
+        rep, found = classify_flexible_circuits(3, 9, seed=1)
+        assert rep.status == STATUS_PASS and len(found) == 4
+        assert calls["canon"] == 10364
+
+    @pytest.mark.parametrize("seed, partition, sha", [
+        (1, (0, 1), "0a55420b32e5540bd14f0c08ae3d6181323f78a8"),
+        (2, (0, 1), "305c9ed22398abd7db6ebc5141170d06e99a5a5a"),
+        (20260801, (1, 4), "c9c58bfb6f3c39ff23240ec245c3bf28745de421"),
+    ])
+    def test_reports_are_pinned(self, seed, partition, sha):
+        # sha1 of the classify-d3 report, wall time removed, as the verdicts
+        # on canonical survivors gave it: a verdict run on other labels
+        # must not move a byte of the report
+        rep, _ = classify_flexible_circuits(3, 9, seed=seed, partition=partition)
+        payload = json.dumps(strip_time(rep.to_json()), sort_keys=True)
+        assert hashlib.sha1(payload.encode("ascii")).hexdigest() == sha
 
 
 class TestFaultInjection:
